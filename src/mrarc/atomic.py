@@ -145,15 +145,22 @@ def atomic_norm(aset, c):
             raise ShapeMismatch("joint-rows norm needs a 2-D coefficient array")
         if not np.all(np.isfinite(C)):
             raise ValueError("coefficients contain NaN or Inf")
-        return float(np.sum(np.sqrt(np.sum(C * C, axis=1))))
-    c = _check_vector_arg(aset, c)
+        return _norm(aset, C)
+    return _norm(aset, _check_vector_arg(aset, c))
+
+
+def _norm(aset, c):
+    # atomic_norm without the input checks, for arrays already validated; the
+    # vector sets also take an n x 1 matrix, whose norm is that of its column
+    if aset.kind == JOINT_ROWS:
+        return float(np.sqrt((c * c).sum(axis=1)).sum())
     if aset.kind == SPARSE:
-        return float(np.sum(np.abs(c)))
+        return float(np.abs(c).sum())
     if aset.kind == COLLABORATIVE:
         return float(np.linalg.norm(c))
     order, bounds = aset.partition.arrays()
     co = c[order]
-    return float(np.sum(np.sqrt(np.add.reduceat(co * co, bounds[:-1]))))
+    return float(np.sqrt(np.add.reduceat(co * co, bounds[:-1])).sum())
 
 
 def prox(aset, z, gamma):

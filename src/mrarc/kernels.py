@@ -7,7 +7,10 @@ implementation set at runtime; the benchmark harness uses it to time one
 against the other on identical inputs.
 
 All shrinkage kernels compute the update as ``z - gamma * (z / norm)`` so that
-singleton blocks reproduce the scalar soft threshold bit for bit.
+singleton blocks reproduce the scalar soft threshold bit for bit.  The numpy
+ridge solves (``hq_inner``, ``squared_zstep``) call LAPACK ``potrf``/``potrs``
+directly, without the checks and copies of the numpy and scipy wrappers, and
+raise ``numpy.linalg.LinAlgError`` when a system is not positive definite.
 """
 
 import os
@@ -15,7 +18,7 @@ from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 try:
     from numba import njit
@@ -44,10 +47,9 @@ def _soft_threshold_np(z, gamma):
 def _block_shrink_np(z, order, bounds, gamma):
     zo = z[order]
     norms = np.sqrt(np.add.reduceat(zo * zo, bounds[:-1]))
-    sizes = np.diff(bounds)
-    nz = np.where(norms > 0.0, norms, 1.0)
-    unit = zo / np.repeat(nz, sizes)
-    shrunk = np.where(np.repeat(norms > gamma, sizes), zo - gamma * unit, 0.0)
+    # a zero block keeps norm 1 here; it shrinks to zero either way
+    nz = np.repeat(np.where(norms > 0.0, norms, 1.0), bounds[1:] - bounds[:-1])
+    shrunk = np.where(nz > gamma, zo - gamma * (zo / nz), 0.0)
     out = np.zeros_like(z)
     out[order] = shrunk
     return out
@@ -60,45 +62,67 @@ def _row_shrink_np(Z, gamma):
     return np.where((norms > gamma)[:, None], Z - gamma * unit, 0.0)
 
 
+def _potrf(A):
+    # lower Cholesky factor from A's lower triangle; a Fortran-ordered A is
+    # factored in place, any other is copied first
+    L, info = dpotrf(A, lower=1, clean=0, overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError(f"matrix is not positive definite (dpotrf info {info})")
+    return L
+
+
+def _potrs(L, b):
+    x, info = dpotrs(L, b, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dpotrs failed with info {info}")
+    return x
+
+
 def _hq_inner_np(X, Xt, XXt, y, v, mu, sigma, z0, tol, max_passes, woodbury):
     # Alternates the weight update w_i = exp(-e_i^2/(2 sigma^2)) / sigma^2 with
     # the weighted ridge solve (X^T W X + mu I) z = X^T W y + mu v.
     m = X.shape[0]
-    inv_two_s2 = 1.0 / (2.0 * sigma * sigma)
+    neg_inv_two_s2 = -1.0 / (2.0 * sigma * sigma)
     inv_s2 = 1.0 / (sigma * sigma)
+    muv = mu * v
     z = z0
     passes = 0
     for _ in range(max_passes):
         e = y - X @ z
-        w = np.exp(-(e * e) * inv_two_s2) * inv_s2
-        b = Xt @ (w * y) + mu * v
+        e *= e
+        e *= neg_inv_two_s2
+        w = np.exp(e, out=e)
+        w *= inv_s2
+        b = Xt @ (w * y)
+        b += muv
         if woodbury:
             sw = np.sqrt(w)
-            S = (sw[:, None] * sw[None, :]) * XXt
-            S[np.diag_indices(m)] += mu
-            L = np.linalg.cholesky(S)
-            u = scipy.linalg.cho_solve((L, True), sw * (X @ b), check_finite=False)
-            z_new = (b - Xt @ (sw * u)) / mu
+            S = np.multiply.outer(sw, sw)
+            S *= XXt
+            S.ravel()[:: m + 1] += mu
+            # S is symmetric, so S.T is S in Fortran order: factored in place
+            u = _potrs(_potrf(S.T), sw * (X @ b))
+            u *= sw
+            z_new = b - Xt @ u
+            z_new /= mu
         else:
             M = Xt @ (X * w[:, None])
-            M[np.diag_indices(M.shape[0])] += mu
-            L = np.linalg.cholesky(M)
-            z_new = scipy.linalg.cho_solve((L, True), b, check_finite=False)
+            M.ravel()[:: M.shape[0] + 1] += mu
+            z_new = _potrs(_potrf(M), b)
         passes += 1
-        dz = np.max(np.abs(z_new - z))
+        dz = np.abs(z_new - z).max()
         z = z_new
-        if dz <= tol * (1.0 + np.max(np.abs(z_new))):
+        if dz <= tol * (1.0 + np.abs(z_new).max()):
             break
     return z, passes
 
 
 def _squared_zstep_np(L, X, Xt, b, mu, woodbury):
-    # Solves (2 X^T X + mu I) z = b given the Cholesky factor L of either the
-    # n x n system itself or of its m x m dual form (mu/2) I + X X^T.
+    # Solves (2 X^T X + mu I) z = b given the lower Cholesky factor L of either
+    # the n x n system itself or of its m x m dual form (mu/2) I + X X^T.
     if woodbury:
-        u = scipy.linalg.cho_solve((L, True), X @ b, check_finite=False)
-        return (b - Xt @ u) / mu
-    return scipy.linalg.cho_solve((L, True), b, check_finite=False)
+        return (b - Xt @ _potrs(L, X @ b)) / mu
+    return _potrs(L, b)
 
 
 # ---------------------------------------------------------------------------

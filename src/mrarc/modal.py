@@ -124,7 +124,7 @@ def _loss_kernel(loss, e, sigma):
 
 def _mrlf_raw(e, sigma):
     # unvalidated Gaussian loss value, shared with the solver's hot loop
-    return float(np.sum(1.0 - np.exp(-(e * e) / (2.0 * sigma * sigma))))
+    return float((1.0 - np.exp(-(e * e) / (2.0 * sigma * sigma))).sum())
 
 
 def mrlf(loss, e, sigma=None):

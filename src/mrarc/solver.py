@@ -5,7 +5,10 @@ the c-update is the atomic prox, the z-update runs a short half-quadratic
 loop (reweighted ridge with weights exp(-e^2/(2 sigma^2)) / sigma^2), and the
 scaled multiplier closes the loop.  ``solve_ar_squared`` is the same skeleton
 with the squared loss, whose z-update is a single prefactored linear solve.
-Iteration stops when both ||c - z||_inf and the c step drop below epsilon.
+One loop, ``_admm``, serves all four iterative solvers: it runs over an n x V
+coefficient matrix, one column per modality, and the unimodal solvers are
+the case V = 1.  Iteration stops when both ||c - z||_inf and the c step drop
+below epsilon.
 
 Systems with more atoms than observations are solved through the m x m dual
 form of the ridge system (precomputed X X^T), which keeps the per-iteration
@@ -13,14 +16,15 @@ cost at O(m^2 n) instead of O(n^2 m).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
 
 from . import kernels
-from .atomic import JOINT_ROWS, AtomicSet, atomic_norm, vector_prox_arrays
-from .errors import DimensionMismatch, NotSPD, ShapeMismatch
-from .modal import ModalLoss, _mrlf_raw, adaptive_sigma, default_sigma_floor
+from .atomic import JOINT_ROWS, _norm, vector_prox_arrays
+from .errors import DimensionMismatch, EmptyInput, NotSPD, ShapeMismatch
+from .modal import ModalLoss, _mrlf_raw, default_sigma_floor
 from .numkit import as_matrix, as_vector, solve_spd
 
 
@@ -84,11 +88,129 @@ def _check_problem(X, y):
         raise DimensionMismatch(
             f"y has length {y.shape[0]} but X has {X.shape[0]} rows"
         )
+    if X.shape[1] == 0:
+        raise DimensionMismatch("X has no columns")
     return X, y
 
 
-def _trim(hist, k):
-    return SolveHistory(*(a[:k].copy() for a in hist))
+def _admm(pairs, aset, cfg, impl, zstep, data_loss, sigma, floors=None):
+    """The c = z ADMM loop shared by the four iterative solvers.
+
+    The coefficients form an n x V matrix, one column per modality (X_j, y_j)
+    of ``pairs``; the unimodal solvers are the case V = 1.  Each iteration
+    refreshes the bandwidths ``sigma`` (one per column) from the residuals
+    y_j - X_j z_j when ``floors`` is given, takes the atomic prox of z - u,
+    runs the loss's ``zstep(j, c_j, u_j, dual_j, z_j, sigma_j)`` on every
+    column, and updates the unscaled dual; u = dual / mu.  ``data_loss(r,
+    sigma_j)`` is the loss of residual r, for the history's objective.
+    """
+    n, nmod = pairs[0][0].shape[1], len(pairs)
+    mu, lam, eps = cfg.mu, cfg.lam, cfg.epsilon
+    max_iter = int(cfg.max_iter)
+    gamma = lam / mu
+    if aset.kind == JOINT_ROWS:
+        def shrink(W):
+            return impl.row_shrink(W, gamma)
+    else:
+        order, bounds = vector_prox_arrays(aset, n)
+
+        def shrink(W):
+            return impl.block_shrink(W[:, 0], order, bounds, gamma)[:, None]
+
+    C = np.zeros((n, nmod))
+    Z = np.zeros((n, nmod))
+    dual = np.zeros((n, nmod))
+    hist = np.empty((4, max_iter))
+    converged = False
+    iterations = max_iter
+    for i in range(max_iter):
+        if floors is not None:
+            for j, (X, y) in enumerate(pairs):
+                r = y - X @ Z[:, j]
+                sigma[j] = max(floors[j], math.sqrt(float(r @ r) / (2.0 * r.size)))
+        u = dual / mu
+        C_prev = C
+        C = shrink(Z - u)
+        for j in range(nmod):
+            Z[:, j] = zstep(j, C[:, j], u[:, j], dual[:, j], Z[:, j], sigma[j])
+        D = C - Z
+        dual += mu * D
+        gap = float(np.abs(D).max())
+        step = float(np.abs(C - C_prev).max())
+        obj = lam * _norm(aset, C)
+        for j, (X, y) in enumerate(pairs):
+            obj += data_loss(y - X @ C[:, j], sigma[j])
+        hist[:, i] = gap, step, obj, max(sigma)
+        if gap < eps and step < eps:
+            converged = True
+            iterations = i + 1
+            break
+    history = SolveHistory(*(h[:iterations].copy() for h in hist))
+    return SolveResult(C, converged, iterations, history, np.array(sigma))
+
+
+def _one_column(out, sigma):
+    # the unimodal view of a V = 1 result
+    return replace(out, coefficients=out.coefficients[:, 0], sigma=sigma)
+
+
+def _modal_admm(pairs, aset, cfg):
+    impl = kernels.active()
+    loss, mu = cfg.loss, cfg.mu
+    tol, passes = cfg.hq_inner_tol, int(cfg.hq_inner_max)
+    n = pairs[0][0].shape[1]
+    Xts = [np.ascontiguousarray(X.T) for X, _ in pairs]
+    wb = [X.shape[0] < n for X, _ in pairs]
+    XXts = [X @ Xt if w else np.zeros((0, 0)) for (X, _), Xt, w in zip(pairs, Xts, wb)]
+    floors = None
+    if loss.adaptive_bandwidth:
+        if any(y.size == 0 for _, y in pairs):
+            raise EmptyInput("adaptive bandwidth needs at least one residual")
+        floors = [
+            loss.min_sigma if loss.min_sigma is not None else default_sigma_floor(y)
+            for _, y in pairs
+        ]
+
+    def zstep(j, c, u, d, z, s):
+        X, y = pairs[j]
+        z, _ = impl.hq_inner(
+            X, Xts[j], XXts[j], y, c + u, mu, s, np.ascontiguousarray(z),
+            tol, passes, wb[j],
+        )
+        return z
+
+    sigma = [loss.kernel.sigma] * len(pairs)
+    return _admm(pairs, aset, cfg, impl, zstep, _mrlf_raw, sigma, floors)
+
+
+def _squared_prefactor(X, Xt, mu, woodbury):
+    # Fortran-ordered lower Cholesky factor of (mu/2) I + X X^T (dual form) or
+    # of 2 X^T X + mu I, so that the LAPACK solves need no copy
+    S = X @ Xt if woodbury else 2.0 * (Xt @ X)
+    S[np.diag_indices(S.shape[0])] += 0.5 * mu if woodbury else mu
+    try:
+        return scipy.linalg.cholesky(S, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - mu > 0 keeps it SPD
+        raise NotSPD("ridge system is not positive definite") from exc
+
+
+def _squared_admm(pairs, aset, cfg):
+    impl = kernels.active()
+    mu = cfg.mu
+    n = pairs[0][0].shape[1]
+    Xts = [np.ascontiguousarray(X.T) for X, _ in pairs]
+    wb = [X.shape[0] < n for X, _ in pairs]
+    Ls = [_squared_prefactor(X, Xt, mu, w) for (X, _), Xt, w in zip(pairs, Xts, wb)]
+    b_consts = [2.0 * (Xt @ y) for Xt, (_, y) in zip(Xts, pairs)]
+
+    def zstep(j, c, u, d, z, s):
+        X = pairs[j][0]
+        return impl.squared_zstep(Ls[j], X, Xts[j], b_consts[j] + mu * c + d, mu, wb[j])
+
+    def data_loss(r, s):
+        return float(r @ r)
+
+    return _admm(pairs, aset, cfg, impl, zstep, data_loss, [np.nan] * len(pairs))
 
 
 def solve_mrar(X, y, aset, cfg):
@@ -98,54 +220,8 @@ def solve_mrar(X, y, aset, cfg):
         raise TypeError("solve_mrar requires cfg.loss to be a ModalLoss")
     if aset.kind == JOINT_ROWS:
         raise ShapeMismatch("joint-rows problems go through solve_mrar_multimodal")
-    m, n = X.shape
-    order, bounds = vector_prox_arrays(aset, n)
-    impl = kernels.active()
-    Xt = np.ascontiguousarray(X.T)
-    woodbury = m < n
-    XXt = X @ Xt if woodbury else np.zeros((0, 0))
-    loss = cfg.loss
-    floor = loss.min_sigma if loss.min_sigma is not None else default_sigma_floor(y)
-    mu, lam = cfg.mu, cfg.lam
-    max_iter = int(cfg.max_iter)
-    gamma = lam / mu
-
-    c = np.zeros(n)
-    z = np.zeros(n)
-    dual = np.zeros(n)
-    hist = tuple(np.empty(max_iter) for _ in range(4))
-    sigma = loss.kernel.sigma
-    converged = False
-    iterations = max_iter
-    for i in range(max_iter):
-        if loss.adaptive_bandwidth:
-            sigma = adaptive_sigma(y - X @ z, floor)
-        c_prev = c
-        c = impl.block_shrink(z - dual / mu, order, bounds, gamma)
-        z, _ = impl.hq_inner(
-            X, Xt, XXt, y, c + dual / mu, mu, sigma, z,
-            cfg.hq_inner_tol, int(cfg.hq_inner_max), woodbury,
-        )
-        dual = dual + mu * (c - z)
-        gap = float(np.max(np.abs(c - z))) if n else 0.0
-        step = float(np.max(np.abs(c - c_prev))) if n else 0.0
-        obj = _mrlf_raw(y - X @ c, sigma) + lam * atomic_norm(aset, c)
-        hist[0][i], hist[1][i], hist[2][i], hist[3][i] = gap, step, obj, sigma
-        if gap < cfg.epsilon and step < cfg.epsilon:
-            converged = True
-            iterations = i + 1
-            break
-    return SolveResult(c, converged, iterations, _trim(hist, iterations), float(sigma))
-
-
-def _squared_prefactor(X, Xt, mu, woodbury):
-    if woodbury:
-        S = X @ Xt
-        S[np.diag_indices(S.shape[0])] += 0.5 * mu
-        return np.linalg.cholesky(S)
-    M = 2.0 * (Xt @ X)
-    M[np.diag_indices(M.shape[0])] += mu
-    return np.linalg.cholesky(M)
+    out = _modal_admm([(X, y)], aset, cfg)
+    return _one_column(out, float(out.sigma[0]))
 
 
 def solve_ar_squared(X, y, aset, cfg):
@@ -155,41 +231,7 @@ def solve_ar_squared(X, y, aset, cfg):
         raise TypeError("solve_ar_squared requires cfg.loss to be a SquaredLoss")
     if aset.kind == JOINT_ROWS:
         raise ShapeMismatch("joint-rows problems go through solve_ar_squared_multimodal")
-    m, n = X.shape
-    order, bounds = vector_prox_arrays(aset, n)
-    impl = kernels.active()
-    Xt = np.ascontiguousarray(X.T)
-    woodbury = m < n
-    try:
-        L = _squared_prefactor(X, Xt, cfg.mu, woodbury)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - mu > 0 keeps it SPD
-        raise NotSPD("ridge system is not positive definite") from exc
-    mu, lam = cfg.mu, cfg.lam
-    max_iter = int(cfg.max_iter)
-    gamma = lam / mu
-    b_const = 2.0 * (Xt @ y)
-
-    c = np.zeros(n)
-    z = np.zeros(n)
-    dual = np.zeros(n)
-    hist = tuple(np.empty(max_iter) for _ in range(4))
-    converged = False
-    iterations = max_iter
-    for i in range(max_iter):
-        c_prev = c
-        c = impl.block_shrink(z - dual / mu, order, bounds, gamma)
-        z = impl.squared_zstep(L, X, Xt, b_const + mu * c + dual, mu, woodbury)
-        dual = dual + mu * (c - z)
-        gap = float(np.max(np.abs(c - z))) if n else 0.0
-        step = float(np.max(np.abs(c - c_prev))) if n else 0.0
-        r = y - X @ c
-        obj = float(r @ r) + lam * atomic_norm(aset, c)
-        hist[0][i], hist[1][i], hist[2][i], hist[3][i] = gap, step, obj, np.nan
-        if gap < cfg.epsilon and step < cfg.epsilon:
-            converged = True
-            iterations = i + 1
-            break
-    return SolveResult(c, converged, iterations, _trim(hist, iterations), None)
+    return _one_column(_squared_admm([(X, y)], aset, cfg), None)
 
 
 def solve_crc(A, y, lam):
@@ -226,54 +268,8 @@ def solve_mrar_multimodal(Xs, ys, aset, cfg):
     """
     if not isinstance(cfg.loss, ModalLoss):
         raise TypeError("solve_mrar_multimodal requires cfg.loss to be a ModalLoss")
-    pairs, n = _check_multimodal(Xs, ys, aset)
-    impl = kernels.active()
-    loss = cfg.loss
-    nmod = len(pairs)
-    Xts = [np.ascontiguousarray(X.T) for X, _ in pairs]
-    wb = [X.shape[0] < n for X, _ in pairs]
-    XXts = [X @ Xt if w else np.zeros((0, 0)) for (X, _), Xt, w in zip(pairs, Xts, wb)]
-    floors = [
-        loss.min_sigma if loss.min_sigma is not None else default_sigma_floor(y)
-        for _, y in pairs
-    ]
-    mu, lam = cfg.mu, cfg.lam
-    max_iter = int(cfg.max_iter)
-    gamma = lam / mu
-
-    C = np.zeros((n, nmod))
-    Z = np.zeros((n, nmod))
-    dual = np.zeros((n, nmod))
-    sigmas = np.array([loss.kernel.sigma] * nmod)
-    hist = tuple(np.empty(max_iter) for _ in range(4))
-    converged = False
-    iterations = max_iter
-    for i in range(max_iter):
-        if loss.adaptive_bandwidth:
-            for j, (X, y) in enumerate(pairs):
-                sigmas[j] = adaptive_sigma(y - X @ Z[:, j], floors[j])
-        C_prev = C
-        C = impl.row_shrink(Z - dual / mu, gamma)
-        for j, (X, y) in enumerate(pairs):
-            v = np.ascontiguousarray(C[:, j] + dual[:, j] / mu)
-            zj, _ = impl.hq_inner(
-                X, Xts[j], XXts[j], y, v, mu, float(sigmas[j]),
-                np.ascontiguousarray(Z[:, j]),
-                cfg.hq_inner_tol, int(cfg.hq_inner_max), wb[j],
-            )
-            Z[:, j] = zj
-        dual = dual + mu * (C - Z)
-        gap = float(np.max(np.abs(C - Z)))
-        step = float(np.max(np.abs(C - C_prev)))
-        obj = lam * atomic_norm(aset, C)
-        for j, (X, y) in enumerate(pairs):
-            obj += _mrlf_raw(y - X @ C[:, j], float(sigmas[j]))
-        hist[0][i], hist[1][i], hist[2][i], hist[3][i] = gap, step, obj, np.max(sigmas)
-        if gap < cfg.epsilon and step < cfg.epsilon:
-            converged = True
-            iterations = i + 1
-            break
-    return SolveResult(C, converged, iterations, _trim(hist, iterations), sigmas.copy())
+    pairs, _ = _check_multimodal(Xs, ys, aset)
+    return _modal_admm(pairs, aset, cfg)
 
 
 def solve_ar_squared_multimodal(Xs, ys, aset, cfg):
@@ -282,42 +278,5 @@ def solve_ar_squared_multimodal(Xs, ys, aset, cfg):
         raise TypeError(
             "solve_ar_squared_multimodal requires cfg.loss to be a SquaredLoss"
         )
-    pairs, n = _check_multimodal(Xs, ys, aset)
-    impl = kernels.active()
-    nmod = len(pairs)
-    Xts = [np.ascontiguousarray(X.T) for X, _ in pairs]
-    wb = [X.shape[0] < n for X, _ in pairs]
-    Ls = [
-        _squared_prefactor(X, Xt, cfg.mu, w)
-        for (X, _), Xt, w in zip(pairs, Xts, wb)
-    ]
-    b_consts = [2.0 * (Xt @ y) for Xt, (_, y) in zip(Xts, pairs)]
-    mu, lam = cfg.mu, cfg.lam
-    max_iter = int(cfg.max_iter)
-    gamma = lam / mu
-
-    C = np.zeros((n, nmod))
-    Z = np.zeros((n, nmod))
-    dual = np.zeros((n, nmod))
-    hist = tuple(np.empty(max_iter) for _ in range(4))
-    converged = False
-    iterations = max_iter
-    for i in range(max_iter):
-        C_prev = C
-        C = impl.row_shrink(Z - dual / mu, gamma)
-        for j, (X, _) in enumerate(pairs):
-            b = b_consts[j] + mu * C[:, j] + dual[:, j]
-            Z[:, j] = impl.squared_zstep(Ls[j], X, Xts[j], np.ascontiguousarray(b), mu, wb[j])
-        dual = dual + mu * (C - Z)
-        gap = float(np.max(np.abs(C - Z)))
-        step = float(np.max(np.abs(C - C_prev)))
-        obj = lam * atomic_norm(aset, C)
-        for j, (X, y) in enumerate(pairs):
-            r = y - X @ C[:, j]
-            obj += float(r @ r)
-        hist[0][i], hist[1][i], hist[2][i], hist[3][i] = gap, step, obj, np.nan
-        if gap < cfg.epsilon and step < cfg.epsilon:
-            converged = True
-            iterations = i + 1
-            break
-    return SolveResult(C, converged, iterations, _trim(hist, iterations), None)
+    pairs, _ = _check_multimodal(Xs, ys, aset)
+    return replace(_squared_admm(pairs, aset, cfg), sigma=None)

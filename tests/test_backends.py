@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -35,7 +36,7 @@ def test_env_flag_forces_numpy_backend():
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "MRARC_NO_NUMBA": "1"},
+        env={**os.environ, "MRARC_NO_NUMBA": "1"},
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "numpy"

@@ -404,6 +404,28 @@ def test_multimodal_single_modality_reduces_to_sparse():
     assert np.max(np.abs(joint_sq.coefficients[:, 0] - single_sq.coefficients)) <= 1e-6
 
 
+@pytest.mark.parametrize("m, n", [(12, 30), (30, 12)])
+def test_single_modality_runs_the_same_iterations_as_the_vector_solver(m, n):
+    # one ADMM loop serves both entry points, so a single joint-rows modality
+    # must follow the sparse vector solve iteration for iteration
+    rng = np.random.default_rng(22 + m)
+    X = _unit_columns(rng, m, n)
+    y = rng.standard_normal(m)
+    mcfg = _modal_cfg(lam=1e-2, epsilon=1e-6, max_iter=2000)
+    scfg = SolverConfig(lam=1e-2, epsilon=1e-6, max_iter=2000)
+    joint_rows = AtomicSet.joint_rows()
+    pairs = (
+        (solve_mrar_multimodal([X], [y], joint_rows, mcfg),
+         solve_mrar(X, y, AtomicSet.sparse(), mcfg)),
+        (solve_ar_squared_multimodal([X], [y], joint_rows, scfg),
+         solve_ar_squared(X, y, AtomicSet.sparse(), scfg)),
+    )
+    for joint, flat in pairs:
+        assert joint.iterations == flat.iterations
+        assert joint.history.gap.size == flat.history.gap.size == flat.iterations
+        assert np.max(np.abs(joint.coefficients[:, 0] - flat.coefficients)) <= 1e-12
+
+
 def test_multimodal_identical_modalities_give_equal_columns():
     rng = np.random.default_rng(20)
     X = _unit_columns(rng, 12, 9)
