@@ -7,8 +7,8 @@ reconstruction residuals.  Squared-loss counterparts of every model are
 included as baselines, together with synthetic data generation, noise
 injection, file IO, and a benchmark CLI.
 
-Hot numeric kernels run through numba when available; set ``MRARC_NO_NUMBA=1``
-(or use :func:`mrarc.kernels.use_backend`) to force the pure-numpy path.
+The hot numeric kernels (:mod:`mrarc.kernels`) are one numpy set whose ridge
+solves call LAPACK ``potrf``/``potrs`` directly.
 """
 
 from . import kernels
@@ -71,7 +71,6 @@ from .errors import (
 from .modal import (
     EPANECHNIKOV,
     GAUSSIAN,
-    HQState,
     Kernel,
     ModalLoss,
     adaptive_sigma,
@@ -102,7 +101,7 @@ __all__ = [
     "SPARSE", "COLLABORATIVE", "BLOCK", "JOINT_ROWS",
     "AtomicSet", "Partition", "atomic_norm", "prox",
     # modal
-    "GAUSSIAN", "EPANECHNIKOV", "Kernel", "ModalLoss", "HQState",
+    "GAUSSIAN", "EPANECHNIKOV", "Kernel", "ModalLoss",
     "kernel_eval", "mrlf", "hq_weights", "adaptive_sigma",
     "default_sigma_floor", "parzen_density", "estimate_mode",
     # solver

@@ -166,9 +166,10 @@ def _norm(aset, c):
 def prox(aset, z, gamma):
     """Prox of gamma times the atomic norm: argmin_c 0.5||c-z||^2 + gamma*N(c).
 
-    Sparse gives the coordinatewise soft threshold; the other sets shrink
-    each group (whole vector, partition block, or matrix row) toward zero by
-    gamma in l2 norm, zeroing groups whose norm does not exceed gamma.
+    Each group (coordinate, whole vector, partition block, or matrix row) is
+    shrunk toward zero by gamma in l2 norm, and groups whose norm does not
+    exceed gamma become zero; for sparse atoms the groups are singletons,
+    which gives the coordinatewise soft threshold.
     """
     if not np.isscalar(gamma) or not np.isfinite(gamma) or gamma <= 0.0:
         raise NonPositiveGamma(f"gamma must be a positive number, got {gamma!r}")
@@ -182,7 +183,7 @@ def prox(aset, z, gamma):
             raise ValueError("input contains NaN or Inf")
         return impl.row_shrink(Z, gamma)
     z = _check_vector_arg(aset, z)
-    if aset.kind == SPARSE:
-        return impl.soft_threshold(z, gamma)
+    if z.shape[0] == 0:
+        return np.zeros(0)
     order, bounds = vector_prox_arrays(aset, z.shape[0])
     return impl.block_shrink(z, order, bounds, gamma)

@@ -282,16 +282,10 @@ def classify_multimodal(dictionaries, ys, spec):
     else:
         out = solve_ar_squared_multimodal(Xs, ys, aset, cfg)
         sigmas = None
-    K = first.n_classes
-    res = np.zeros(K)
-    for k in range(K):
-        cols = first.columns_of_class(k)
-        for j, (d, y) in enumerate(zip(dictionaries, ys)):
-            r = y - d.atoms[:, cols] @ out.coefficients[cols, j]
-            if sigmas is not None:
-                res[k] += _mrlf_raw(r, float(sigmas[j]))
-            else:
-                res[k] += float(np.linalg.norm(r))
+    res = np.zeros(first.n_classes)
+    for j, (d, y) in enumerate(zip(dictionaries, ys)):
+        s_j = float(sigmas[j]) if sigmas is not None else None
+        res += _class_residuals(d, y, out.coefficients[:, j], s_j)
     return ClassificationResult(
         int(np.argmin(res)), res, out.coefficients, out.iterations, out.converged
     )

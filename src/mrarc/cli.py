@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kernels
 from .classify import (
     METHODS,
     MULTIMODAL_METHODS,
@@ -505,7 +504,7 @@ def _build_parser():
         prog="mrarc",
         description=(
             "Robust representation-based classification benchmarks "
-            f"(kernel backend: {kernels.backend_name()})"
+            "(numpy kernels; ridge solves through LAPACK potrf/potrs)"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

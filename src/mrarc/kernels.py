@@ -1,50 +1,25 @@
-"""Hot numeric kernels, each with a numba-jitted and a pure-numpy implementation.
+"""Hot numeric kernels of the ADMM and half-quadratic solvers, in numpy.
 
-The active backend is picked at import time: numba when importable, unless the
-environment variable ``MRARC_NO_NUMBA`` is set to ``1``/``true``/``yes``, in
-which case the pure-numpy fallback is used.  ``use_backend`` swaps the active
-implementation set at runtime; the benchmark harness uses it to time one
-against the other on identical inputs.
+Four kernels: blockwise shrinkage of a vector (``block_shrink``), rowwise
+shrinkage of a matrix (``row_shrink``), the half-quadratic weighted-ridge
+passes (``hq_inner``) and the squared-loss ridge step (``squared_zstep``).
+The solvers look them up through ``active()`` at call time, so a caller can
+wrap the namespace it returns, for instance to trace the calls.
 
-All shrinkage kernels compute the update as ``z - gamma * (z / norm)`` so that
-singleton blocks reproduce the scalar soft threshold bit for bit.  The numpy
-ridge solves (``hq_inner``, ``squared_zstep``) call LAPACK ``potrf``/``potrs``
+The shrinkage kernels compute the update as ``z - gamma * (z / norm)``, so a
+singleton block reproduces the scalar soft threshold bit for bit.  The ridge
+solves (``hq_inner``, ``squared_zstep``) call LAPACK ``potrf``/``potrs``
 directly, without the checks and copies of the numpy and scipy wrappers, and
 raise ``numpy.linalg.LinAlgError`` when a system is not positive definite.
 """
 
-import os
-from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    HAVE_NUMBA = False
-
-
-def _env_disables_numba():
-    return os.environ.get("MRARC_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def _soft_threshold_np(z, gamma):
-    out = z - gamma * np.sign(z)
-    out[np.abs(z) <= gamma] = 0.0
-    return out
-
-
-def _block_shrink_np(z, order, bounds, gamma):
+def _block_shrink(z, order, bounds, gamma):
     zo = z[order]
     norms = np.sqrt(np.add.reduceat(zo * zo, bounds[:-1]))
     # a zero block keeps norm 1 here; it shrinks to zero either way
@@ -55,7 +30,7 @@ def _block_shrink_np(z, order, bounds, gamma):
     return out
 
 
-def _row_shrink_np(Z, gamma):
+def _row_shrink(Z, gamma):
     norms = np.sqrt(np.sum(Z * Z, axis=1))
     nz = np.where(norms > 0.0, norms, 1.0)
     unit = Z / nz[:, None]
@@ -78,7 +53,7 @@ def _potrs(L, b):
     return x
 
 
-def _hq_inner_np(X, Xt, XXt, y, v, mu, sigma, z0, tol, max_passes, woodbury):
+def _hq_inner(X, Xt, XXt, y, v, mu, sigma, z0, tol, max_passes, woodbury):
     # Alternates the weight update w_i = exp(-e_i^2/(2 sigma^2)) / sigma^2 with
     # the weighted ridge solve (X^T W X + mu I) z = X^T W y + mu v.
     m = X.shape[0]
@@ -117,7 +92,7 @@ def _hq_inner_np(X, Xt, XXt, y, v, mu, sigma, z0, tol, max_passes, woodbury):
     return z, passes
 
 
-def _squared_zstep_np(L, X, Xt, b, mu, woodbury):
+def _squared_zstep(L, X, Xt, b, mu, woodbury):
     # Solves (2 X^T X + mu I) z = b given the lower Cholesky factor L of either
     # the n x n system itself or of its m x m dual form (mu/2) I + X X^T.
     if woodbury:
@@ -125,194 +100,30 @@ def _squared_zstep_np(L, X, Xt, b, mu, woodbury):
     return _potrs(L, b)
 
 
-# ---------------------------------------------------------------------------
-# numba twins
-# ---------------------------------------------------------------------------
-
-
-def _soft_threshold_loop(z, gamma):
-    out = np.zeros_like(z)
-    for i in range(z.shape[0]):
-        if abs(z[i]) > gamma:
-            out[i] = z[i] - gamma * np.sign(z[i])
-    return out
-
-
-def _block_shrink_loop(z, order, bounds, gamma):
-    out = np.zeros_like(z)
-    for l in range(bounds.shape[0] - 1):
-        s = 0.0
-        for j in range(bounds[l], bounds[l + 1]):
-            s += z[order[j]] * z[order[j]]
-        nrm = np.sqrt(s)
-        if nrm > gamma:
-            for j in range(bounds[l], bounds[l + 1]):
-                zi = z[order[j]]
-                out[order[j]] = zi - gamma * (zi / nrm)
-    return out
-
-
-def _row_shrink_loop(Z, gamma):
-    out = np.zeros_like(Z)
-    for i in range(Z.shape[0]):
-        s = 0.0
-        for j in range(Z.shape[1]):
-            s += Z[i, j] * Z[i, j]
-        nrm = np.sqrt(s)
-        if nrm > gamma:
-            for j in range(Z.shape[1]):
-                out[i, j] = Z[i, j] - gamma * (Z[i, j] / nrm)
-    return out
-
-
-def _chol_solve_loop(L, b):
-    n = L.shape[0]
-    x = b.copy()
-    for i in range(n):
-        s = x[i]
-        for j in range(i):
-            s -= L[i, j] * x[j]
-        x[i] = s / L[i, i]
-    for i in range(n - 1, -1, -1):
-        s = x[i]
-        for j in range(i + 1, n):
-            s -= L[j, i] * x[j]
-        x[i] = s / L[i, i]
-    return x
-
-
-def _hq_inner_loop(X, Xt, XXt, y, v, mu, sigma, z0, tol, max_passes, woodbury):
-    m = X.shape[0]
-    n = X.shape[1]
-    inv_two_s2 = 1.0 / (2.0 * sigma * sigma)
-    inv_s2 = 1.0 / (sigma * sigma)
-    z = z0
-    passes = 0
-    for _ in range(max_passes):
-        e = y - X @ z
-        w = np.exp(-(e * e) * inv_two_s2) * inv_s2
-        b = Xt @ (w * y) + mu * v
-        if woodbury:
-            sw = np.sqrt(w)
-            S = np.empty((m, m))
-            for i in range(m):
-                for j in range(m):
-                    S[i, j] = sw[i] * sw[j] * XXt[i, j]
-                S[i, i] += mu
-            L = np.linalg.cholesky(S)
-            u = _chol_solve_loop(L, sw * (X @ b))
-            z_new = (b - Xt @ (sw * u)) / mu
-        else:
-            M = Xt @ (X * w.reshape(m, 1))
-            for i in range(n):
-                M[i, i] += mu
-            L = np.linalg.cholesky(M)
-            z_new = _chol_solve_loop(L, b)
-        passes += 1
-        dz = 0.0
-        zmax = 0.0
-        for i in range(n):
-            d = abs(z_new[i] - z[i])
-            if d > dz:
-                dz = d
-            if abs(z_new[i]) > zmax:
-                zmax = abs(z_new[i])
-        z = z_new
-        if dz <= tol * (1.0 + zmax):
-            break
-    return z, passes
-
-
-def _squared_zstep_loop(L, X, Xt, b, mu, woodbury):
-    if woodbury:
-        u = _chol_solve_loop(L, X @ b)
-        return (b - Xt @ u) / mu
-    return _chol_solve_loop(L, b)
-
-
-# ---------------------------------------------------------------------------
-# backend registry
-# ---------------------------------------------------------------------------
-
-_KERNEL_NAMES = ("soft_threshold", "block_shrink", "row_shrink", "hq_inner", "squared_zstep")
-
-numpy_impl = SimpleNamespace(
+_numpy = SimpleNamespace(
     name="numpy",
-    soft_threshold=_soft_threshold_np,
-    block_shrink=_block_shrink_np,
-    row_shrink=_row_shrink_np,
-    hq_inner=_hq_inner_np,
-    squared_zstep=_squared_zstep_np,
+    block_shrink=_block_shrink,
+    row_shrink=_row_shrink,
+    hq_inner=_hq_inner,
+    squared_zstep=_squared_zstep,
 )
-
-if HAVE_NUMBA:
-    # rebind the globals so the nested _chol_solve_loop calls resolve to the
-    # compiled dispatcher when the outer kernels are jitted
-    _soft_threshold_loop = njit(cache=True)(_soft_threshold_loop)
-    _block_shrink_loop = njit(cache=True)(_block_shrink_loop)
-    _row_shrink_loop = njit(cache=True)(_row_shrink_loop)
-    _chol_solve_loop = njit(cache=True)(_chol_solve_loop)
-    _hq_inner_loop = njit(cache=True)(_hq_inner_loop)
-    _squared_zstep_loop = njit(cache=True)(_squared_zstep_loop)
-    numba_impl = SimpleNamespace(
-        name="numba",
-        soft_threshold=_soft_threshold_loop,
-        block_shrink=_block_shrink_loop,
-        row_shrink=_row_shrink_loop,
-        hq_inner=_hq_inner_loop,
-        squared_zstep=_squared_zstep_loop,
-    )
-else:  # pragma: no cover
-    numba_impl = None
-
-_active = numpy_impl if (numba_impl is None or _env_disables_numba()) else numba_impl
 
 
 def active():
-    """Return the implementation namespace currently in use."""
-    return _active
+    """Return the namespace of kernels the solvers call."""
+    return _numpy
 
 
 def backend_name():
-    return _active.name
-
-
-def available_backends():
-    names = ["numpy"]
-    if numba_impl is not None:
-        names.append("numba")
-    return names
-
-
-def get_backend(name):
-    if name == "numpy":
-        return numpy_impl
-    if name == "numba":
-        if numba_impl is None:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        return numba_impl
-    raise ValueError(f"unknown backend {name!r}")
-
-
-@contextmanager
-def use_backend(name):
-    """Temporarily switch the active kernel implementations."""
-    global _active
-    previous = _active
-    _active = get_backend(name)
-    try:
-        yield _active
-    finally:
-        _active = previous
+    return _numpy.name
 
 
 def warm_up():
-    """Trigger jit compilation of every kernel on tiny inputs."""
-    impl = _active
+    """Run every kernel once on tiny inputs, so first-call costs come early."""
+    impl = _numpy
     z = np.array([1.5, -0.2, 0.0])
     order = np.arange(3, dtype=np.int64)
     bounds = np.array([0, 2, 3], dtype=np.int64)
-    impl.soft_threshold(z.copy(), 0.1)
     impl.block_shrink(z.copy(), order, bounds, 0.1)
     impl.row_shrink(np.array([[1.0, 2.0], [0.1, 0.0]]), 0.5)
     X = np.array([[1.0, 0.2, 0.1], [0.0, 1.0, 0.3]])

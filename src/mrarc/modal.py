@@ -80,22 +80,6 @@ class ModalLoss:
         return adaptive_sigma(e, floor)
 
 
-@dataclass(frozen=True)
-class HQState:
-    """Half-quadratic auxiliary state: weights in (0, 1] and the bandwidth."""
-
-    weights: np.ndarray
-    sigma: float
-
-    def __post_init__(self):
-        w = as_vector(self.weights, "weights")
-        if w.size and (np.min(w) <= 0.0 or np.max(w) > 1.0):
-            raise ValueError("half-quadratic weights must lie in (0, 1]")
-        if not (self.sigma > 0.0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        object.__setattr__(self, "weights", w)
-
-
 def kernel_eval(kernel, e):
     """Pointwise kernel value: unit-peak Gaussian or (3/4)(1 - e^2)+."""
     e = np.asarray(e, dtype=np.float64)

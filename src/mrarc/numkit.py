@@ -52,20 +52,3 @@ def solve_spd(M, b):
     except np.linalg.LinAlgError as exc:
         raise NotSPD("matrix is not positive definite") from exc
     return scipy.linalg.cho_solve((L, True), b, check_finite=False)
-
-
-def gram(A, w):
-    """Weighted Gram matrix A^T diag(w) A.
-
-    w must be nonnegative with one entry per row of A; the result is
-    symmetric positive semidefinite.
-    """
-    A = as_matrix(A, "A")
-    w = as_vector(w, "w")
-    if w.shape[0] != A.shape[0]:
-        raise DimensionMismatch(
-            f"weight length {w.shape[0]} does not match row count {A.shape[0]}"
-        )
-    if np.any(w < 0.0):
-        raise ValueError("weights must be nonnegative")
-    return A.T @ (A * w[:, None])

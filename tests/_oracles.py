@@ -82,37 +82,18 @@ def prox_l2_vector(z, gamma):
 
 
 def _ista_loop(X, Xt, y, lam, L, tol, max_iter):
-    n = X.shape[1]
-    c = np.zeros(n)
+    c = np.zeros(X.shape[1])
     thr = lam / L
     for _ in range(max_iter):
         grad = 2.0 * (Xt @ (X @ c - y))
-        c_new = np.empty(n)
-        step = 0.0
-        cmax = 0.0
-        for i in range(n):
-            u = c[i] - grad[i] / L
-            if u > thr:
-                v = u - thr
-            elif u < -thr:
-                v = u + thr
-            else:
-                v = 0.0
-            c_new[i] = v
-            step = max(step, abs(v - c[i]))
-            cmax = max(cmax, abs(v))
+        u = c - grad / L
+        c_new = np.where(u > thr, u - thr, np.where(u < -thr, u + thr, 0.0))
+        step = np.abs(c_new - c).max(initial=0.0)
+        cmax = np.abs(c_new).max(initial=0.0)
         c = c_new
         if step <= tol * (1.0 + cmax):
             break
     return c
-
-
-try:  # compiled when available; the loop body is identical either way
-    from numba import njit
-
-    _ista_loop = njit(cache=True)(_ista_loop)
-except ImportError:
-    pass
 
 
 def ista_lasso(X, y, lam, tol=1e-10, max_iter=500_000):

@@ -176,6 +176,12 @@ def test_prox_zero_input_stays_zero():
     assert np.all(prox(AtomicSet.joint_rows(), np.zeros((4, 2)), 0.3) == 0.0)
 
 
+@pytest.mark.parametrize("aset", [AtomicSet.sparse(), AtomicSet.collaborative()])
+def test_prox_of_an_empty_vector_is_empty(aset):
+    out = prox(aset, np.array([]), 0.3)
+    assert out.shape == (0,) and out.dtype == np.float64
+
+
 def test_prox_rejects_nonpositive_gamma():
     with pytest.raises(NonPositiveGamma):
         prox(AtomicSet.sparse(), np.ones(3), 0.0)
@@ -195,26 +201,35 @@ def test_prox_shape_errors():
 # ---------------------------------------------------------------------------
 
 
+def _soft_threshold(z, gamma):
+    return np.sign(z) * np.maximum(np.abs(z) - gamma, 0.0)
+
+
+def _with_zeros_and_ties(rng, n):
+    # random entries plus exact zeros and entries with |z| = gamma
+    z = rng.standard_normal(n) * 3.0
+    gamma = float(rng.uniform(0.05, 1.5))
+    z[:2] = 0.0
+    z[2], z[3] = gamma, -gamma
+    return rng.permutation(z), gamma
+
+
 def test_singleton_blocks_reduce_to_soft_threshold_exactly():
     rng = np.random.default_rng(16)
     aset = AtomicSet.block(Partition.singletons(8))
     for trial in range(30):
-        z = rng.standard_normal(8) * 3.0
-        gamma = float(rng.uniform(0.05, 1.5))
-        np.testing.assert_array_equal(
-            prox(aset, z, gamma), prox(AtomicSet.sparse(), z, gamma)
-        )
+        z, gamma = _with_zeros_and_ties(rng, 8)
+        want = _soft_threshold(z, gamma)
+        np.testing.assert_array_equal(prox(aset, z, gamma), want)
+        np.testing.assert_array_equal(prox(AtomicSet.sparse(), z, gamma), want)
 
 
 def test_one_column_joint_rows_reduces_to_soft_threshold_exactly():
     rng = np.random.default_rng(17)
     for trial in range(30):
-        z = rng.standard_normal(8) * 3.0
-        gamma = float(rng.uniform(0.05, 1.5))
+        z, gamma = _with_zeros_and_ties(rng, 8)
         got = prox(AtomicSet.joint_rows(), z[:, None], gamma)
-        np.testing.assert_array_equal(
-            got[:, 0], prox(AtomicSet.sparse(), z, gamma)
-        )
+        np.testing.assert_array_equal(got[:, 0], _soft_threshold(z, gamma))
 
 
 def test_trivial_partition_reduces_to_collaborative():

@@ -1,14 +1,11 @@
-"""The numpy kernels against dense solves of the systems they stand for.
-
-These run on every backend selection: they call the numpy twins directly.
-"""
+"""The kernels against dense solves of the systems they stand for."""
 
 import numpy as np
 import pytest
 
 from mrarc import kernels
 
-NUMPY = kernels.get_backend("numpy")
+KERNELS = kernels.active()
 SHAPES = [(12, 30), (30, 12)]  # wide (dual form) and tall (primal form)
 
 
@@ -28,7 +25,7 @@ def test_hq_inner_pass_solves_the_weighted_ridge_system(m, n):
     v = rng.standard_normal(n)
     z0 = rng.standard_normal(n)
     mu, sigma = 0.1, 0.7
-    z, passes = NUMPY.hq_inner(X, Xt, XXt, y, v, mu, sigma, z0, 1e-14, 1, woodbury)
+    z, passes = KERNELS.hq_inner(X, Xt, XXt, y, v, mu, sigma, z0, 1e-14, 1, woodbury)
     assert passes == 1
     e = y - X @ z0
     w = np.exp(-(e * e) / (2.0 * sigma * sigma)) / (sigma * sigma)
@@ -45,7 +42,7 @@ def test_squared_zstep_solves_the_ridge_system(m, n):
     else:
         L = np.linalg.cholesky(2.0 * (Xt @ X) + mu * np.eye(n))
     b = rng.standard_normal(n)
-    z = NUMPY.squared_zstep(L, X, Xt, b, mu, woodbury)
+    z = KERNELS.squared_zstep(L, X, Xt, b, mu, woodbury)
     want = np.linalg.solve(2.0 * (X.T @ X) + mu * np.eye(n), b)
     assert np.linalg.norm(z - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -57,4 +54,4 @@ def test_hq_inner_raises_on_a_system_that_is_not_positive_definite(m, n):
     rng, X, Xt, XXt, woodbury = _problem(m, n, seed=m * 100 + n + 2)
     y = rng.standard_normal(m)
     with pytest.raises(np.linalg.LinAlgError):
-        NUMPY.hq_inner(X, Xt, XXt, y, np.zeros(n), -1e3, 0.7, np.zeros(n), 1e-14, 1, woodbury)
+        KERNELS.hq_inner(X, Xt, XXt, y, np.zeros(n), -1e3, 0.7, np.zeros(n), 1e-14, 1, woodbury)

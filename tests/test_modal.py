@@ -5,7 +5,6 @@ import pytest
 
 from mrarc.errors import EmptyInput, UnsupportedKernel
 from mrarc.modal import (
-    HQState,
     Kernel,
     ModalLoss,
     adaptive_sigma,
@@ -125,7 +124,6 @@ def test_hq_weights_formula_and_range():
         w = hq_weights(loss, e)
         assert np.all(w > 0.0) and np.all(w <= 1.0)
         np.testing.assert_array_equal(w, kernel_eval(loss.kernel, e))
-        HQState(w, 1.0)  # constructible: weight range invariant holds
 
 
 def test_hq_weights_monotone_in_magnitude():
@@ -154,15 +152,6 @@ def test_hq_surrogate_tightness():
     for trial in range(1000):
         w = rng.uniform(1e-6, 1.0, 12)
         assert surrogate(w) >= base - 1e-10
-
-
-def test_hqstate_validates_weight_range():
-    with pytest.raises(ValueError):
-        HQState(np.array([0.5, 1.5]), 1.0)
-    with pytest.raises(ValueError):
-        HQState(np.array([0.0, 0.5]), 1.0)
-    with pytest.raises(ValueError):
-        HQState(np.array([0.5]), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mrarc.errors import DimensionMismatch, NotSPD
-from mrarc.numkit import as_matrix, as_vector, gram, solve_spd
+from mrarc.numkit import as_matrix, as_vector, solve_spd
 
 
 def test_as_vector_converts_and_copies_dtype():
@@ -55,20 +55,3 @@ def test_solve_spd_rejects_indefinite():
 def test_solve_spd_rejects_non_square():
     with pytest.raises(DimensionMismatch):
         solve_spd(np.ones((2, 3)), np.ones(2))
-
-
-def test_gram_matches_naive_loops():
-    rng = np.random.default_rng(1)
-    A = rng.standard_normal((6, 4))
-    w = rng.uniform(0.1, 2.0, 6)
-    G = gram(A, w)
-    naive = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(4):
-            naive[i, j] = float(np.sum(w * A[:, i] * A[:, j]))
-    np.testing.assert_allclose(G, naive, rtol=0, atol=1e-12)
-
-
-def test_gram_rejects_negative_weights():
-    with pytest.raises(ValueError):
-        gram(np.ones((3, 2)), np.array([1.0, -1.0, 1.0]))
