@@ -5,9 +5,15 @@ class at a time, and the class whose restricted reconstruction leaves the
 smallest residual wins.  Methods with the MR prefix measure that residual
 with the modal-regression loss at the bandwidth the solver ended on; the
 squared-loss baselines use the l2 norm.  Ties break toward the lowest label.
+
+A ``Dictionary`` owns its class layout: the ``Partition`` of its columns by
+class, built on first use and kept.  All K class residuals come from one
+pass over that layout, BSRC uses it as its default block partition, and LRC
+fits one least-squares problem per block.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -17,10 +23,9 @@ from .errors import (
     EmptyQuerySet,
     InconsistentModalities,
     IndexOutOfRange,
-    NotSPD,
 )
 from .modal import ModalLoss, _mrlf_raw
-from .numkit import as_matrix, as_vector, solve_spd
+from .numkit import as_matrix, as_vector, check_positive
 from .solver import (
     SolverConfig,
     SquaredLoss,
@@ -86,10 +91,16 @@ class Dictionary:
     def n_atoms(self):
         return self.atoms.shape[1]
 
+    @cached_property
+    def partition(self):
+        """The class layout: block k of this Partition holds class k's columns."""
+        return Partition.from_labels(self.class_of)
+
     def columns_of_class(self, k):
         if not (0 <= int(k) < self.n_classes):
             raise IndexOutOfRange(f"class {k} outside 0..{self.n_classes - 1}")
-        return np.flatnonzero(self.class_of == int(k))
+        order, bounds = self.partition.arrays()
+        return order[bounds[int(k)]:bounds[int(k) + 1]].copy()
 
 
 @dataclass(frozen=True)
@@ -112,8 +123,7 @@ class ClassifierSpec:
             raise ValueError(
                 f"unknown method {self.method!r}; expected one of {METHODS}"
             )
-        if not (self.lam > 0.0):
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        check_positive(self.lam, "lam")
         if self.loss is not None and not isinstance(self.loss, (ModalLoss, SquaredLoss)):
             raise TypeError("loss must be ModalLoss, SquaredLoss, or None")
 
@@ -161,9 +171,7 @@ def _atomic_set(spec, dictionary):
     if stem == "CRC":
         return AtomicSet.collaborative()
     if stem == "BSRC":
-        part = spec.block_partition
-        if part is None:
-            part = Partition.from_labels(dictionary.class_of)
+        part = dictionary.partition if spec.block_partition is None else spec.block_partition
         if part.size != dictionary.n_atoms:
             raise DimensionMismatch(
                 "block partition size does not match the dictionary"
@@ -173,14 +181,16 @@ def _atomic_set(spec, dictionary):
 
 
 def _class_residuals(dictionary, y, coeffs, sigma):
-    """Per-class reconstruction residuals; modal loss when sigma is given."""
-    K = dictionary.n_classes
-    res = np.empty(K)
-    for k in range(K):
-        cols = dictionary.columns_of_class(k)
-        r = y - dictionary.atoms[:, cols] @ coeffs[cols]
-        res[k] = _mrlf_raw(r, sigma) if sigma is not None else float(np.linalg.norm(r))
-    return res
+    """Per-class reconstruction residuals; modal loss when sigma is given.
+
+    All K classes come from one pass over the dictionary's class layout.
+    """
+    order, bounds = dictionary.partition.arrays()
+    parts = np.add.reduceat(dictionary.atoms[:, order] * coeffs[order], bounds[:-1], axis=1)
+    R = y[:, None] - parts
+    if sigma is not None:
+        return _mrlf_raw(R, sigma, axis=0)
+    return np.sqrt((R * R).sum(axis=0))
 
 
 def classify(dictionary, y, spec):
@@ -213,34 +223,27 @@ def classify(dictionary, y, spec):
     )
 
 
-def _lrc_fit(Ak, y):
-    # normal equations with a tiny ridge fallback for singular class blocks
-    G = Ak.T @ Ak
-    b = Ak.T @ y
-    try:
-        return solve_spd(G, b)
-    except NotSPD:
-        return solve_spd(G + 1e-10 * np.eye(G.shape[0]), b)
-
-
 def classify_lrc(dictionary, y):
     """Per-class least-squares projection; nearest subspace wins.
 
-    The returned coefficients embed the winning class's fit into a full
+    Each class block is fitted with the rank-revealing ``np.linalg.lstsq``,
+    so a class with dependent columns gets its minimum-norm fit.  The
+    returned coefficients embed the winning class's fit into a full
     dictionary-length vector, zeros elsewhere.
     """
     y = as_vector(y, "query")
     A = dictionary.atoms
     if y.shape[0] != A.shape[0]:
         raise DimensionMismatch("query length does not match dictionary rows")
-    K = dictionary.n_classes
-    res = np.empty(K)
+    order, bounds = dictionary.partition.arrays()
+    res = np.empty(dictionary.n_classes)
     fits = []
-    for k in range(K):
-        cols = dictionary.columns_of_class(k)
-        ck = _lrc_fit(A[:, cols], y)
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        cols = order[lo:hi]
+        Ak = A[:, cols]
+        ck = np.linalg.lstsq(Ak, y, rcond=None)[0]
         fits.append((cols, ck))
-        res[k] = float(np.linalg.norm(y - A[:, cols] @ ck))
+        res[k] = float(np.linalg.norm(y - Ak @ ck))
     label = int(np.argmin(res))
     cols, ck = fits[label]
     coeffs = np.zeros(dictionary.n_atoms)

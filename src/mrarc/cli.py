@@ -427,15 +427,20 @@ def _cmd_gen(args):
 
 
 def _cmd_classify(args):
-    train = load_matrix(args.train)
+    try:
+        solver = SolverConfig(
+            lam=args.lam, mu=args.mu, epsilon=args.epsilon, max_iter=args.max_iter
+        )
+        spec = ClassifierSpec(args.method, args.lam, None, solver)
+    except ValueError as exc:
+        raise ConfigError(f"classify: {exc}") from exc
+    try:
+        train, query = load_matrix(args.train), load_matrix(args.query)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {exc.filename}: {exc.strerror}") from None
     if train.labels is None:
         raise ConfigError(f"training file {args.train} carries no labels")
-    query = load_matrix(args.query)
     dictionary = Dictionary.from_samples(train.samples, train.labels)
-    solver = SolverConfig(
-        lam=args.lam, mu=args.mu, epsilon=args.epsilon, max_iter=args.max_iter
-    )
-    spec = ClassifierSpec(args.method, args.lam, None, solver)
     labels = []
     for q in range(query.samples.shape[1]):
         labels.append(int(classify(dictionary, query.samples[:, q], spec).label))
@@ -484,11 +489,16 @@ def _load_residuals(path):
 
 
 def _cmd_modecheck(args):
-    samples = _load_residuals(args.residuals)
     if args.kernel == "epanechnikov":
         kernel = Kernel.epanechnikov()
     else:
-        kernel = Kernel.gaussian(args.sigma)
+        try:
+            kernel = Kernel.gaussian(args.sigma)
+        except ValueError as exc:
+            raise ConfigError(f"modecheck: {exc}") from exc
+    if args.grid_points < 3:
+        raise ConfigError("modecheck: --grid-points must be at least 3")
+    samples = _load_residuals(args.residuals)
     mode = estimate_mode(kernel, samples, grid_points=args.grid_points)
     density = float(parzen_density(kernel, samples, mode))
     if args.format == "json":

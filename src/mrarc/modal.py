@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptyInput, UnsupportedKernel
-from .numkit import as_vector
+from .numkit import as_vector, check_positive
 
 GAUSSIAN = "gaussian"
 EPANECHNIKOV = "epanechnikov"
@@ -29,8 +29,7 @@ class Kernel:
     def __post_init__(self):
         if self.kind not in (GAUSSIAN, EPANECHNIKOV):
             raise UnsupportedKernel(f"unknown kernel kind {self.kind!r}")
-        if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        check_positive(self.sigma, "sigma")
 
     @classmethod
     def gaussian(cls, sigma=1.0):
@@ -61,8 +60,8 @@ class ModalLoss:
                 "modal loss requires the Gaussian kernel; the Epanechnikov "
                 "kernel has no half-quadratic weight function here"
             )
-        if self.min_sigma is not None and not (self.min_sigma > 0.0):
-            raise ValueError(f"min_sigma must be positive, got {self.min_sigma}")
+        if self.min_sigma is not None:
+            check_positive(self.min_sigma, "min_sigma")
 
     @classmethod
     def fixed(cls, sigma):
@@ -106,9 +105,10 @@ def _loss_kernel(loss, e, sigma):
     return Kernel.gaussian(sigma)
 
 
-def _mrlf_raw(e, sigma):
-    # unvalidated Gaussian loss value, shared with the solver's hot loop
-    return float((1.0 - np.exp(-(e * e) / (2.0 * sigma * sigma))).sum())
+def _mrlf_raw(e, sigma, axis=None):
+    # unvalidated Gaussian loss value (per column with axis=0), shared with the
+    # solver's hot loop and the class scoring
+    return (1.0 - np.exp(-(e * e) / (2.0 * sigma * sigma))).sum(axis=axis)
 
 
 def mrlf(loss, e, sigma=None):

@@ -1,14 +1,16 @@
-"""Small dense linear-algebra layer shared by the solvers.
+"""Input validation shared by the library.
 
 Vectors are 1-D float64 arrays and matrices are 2-D C-contiguous float64
 arrays; ``as_vector``/``as_matrix`` coerce inputs and reject non-finite
-entries so nothing downstream has to re-check.
+entries so nothing downstream has to re-check.  ``check_positive`` does the
+same for scalar settings such as a penalty or a bandwidth.
 """
 
-import numpy as np
-import scipy.linalg
+import math
 
-from .errors import DimensionMismatch, NotSPD
+import numpy as np
+
+from .errors import DimensionMismatch
 
 
 def as_vector(x, name="vector"):
@@ -31,24 +33,7 @@ def as_matrix(x, name="matrix"):
     return m
 
 
-def solve_spd(M, b):
-    """Solve M x = b for symmetric positive definite M via Cholesky.
-
-    Raises NotSPD when M is not symmetric within 1e-10 (relative) or has a
-    non-positive pivot, and DimensionMismatch on incompatible shapes.
-    """
-    M = as_matrix(M, "M")
-    b = as_vector(b, "b")
-    n = M.shape[0]
-    if M.shape[1] != n:
-        raise DimensionMismatch(f"M must be square, got {M.shape}")
-    if b.shape[0] != n:
-        raise DimensionMismatch(f"b has length {b.shape[0]}, expected {n}")
-    scale = np.max(np.abs(M)) if n else 0.0
-    if n and np.max(np.abs(M - M.T)) > 1e-10 * (1.0 + scale):
-        raise NotSPD("matrix is not symmetric")
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise NotSPD("matrix is not positive definite") from exc
-    return scipy.linalg.cho_solve((L, True), b, check_finite=False)
+def check_positive(x, name):
+    """Reject a scalar setting that is not a finite positive number."""
+    if not (x > 0.0 and math.isfinite(x)):
+        raise ValueError(f"{name} must be positive and finite, got {x}")

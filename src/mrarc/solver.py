@@ -25,7 +25,7 @@ from . import kernels
 from .atomic import JOINT_ROWS, _norm, vector_prox_arrays
 from .errors import DimensionMismatch, EmptyInput, NotSPD, ShapeMismatch
 from .modal import ModalLoss, _mrlf_raw, default_sigma_floor
-from .numkit import as_matrix, as_vector, solve_spd
+from .numkit import as_matrix, as_vector, check_positive
 
 
 @dataclass(frozen=True)
@@ -46,16 +46,10 @@ class SolverConfig:
     loss: object = field(default_factory=SquaredLoss)
 
     def __post_init__(self):
-        if not (self.lam > 0.0):
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if not (self.mu > 0.0):
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if not (self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        for name in ("lam", "mu", "epsilon", "hq_inner_tol"):
+            check_positive(getattr(self, name), name)
         if int(self.max_iter) < 1:
             raise ValueError("max_iter must be at least 1")
-        if not (self.hq_inner_tol > 0.0):
-            raise ValueError("hq_inner_tol must be positive")
         if int(self.hq_inner_max) < 1:
             raise ValueError("hq_inner_max must be at least 1")
         if not isinstance(self.loss, (ModalLoss, SquaredLoss)):
@@ -237,11 +231,14 @@ def solve_ar_squared(X, y, aset, cfg):
 def solve_crc(A, y, lam):
     """Collaborative ridge representation (A^T A + lam I)^{-1} A^T y."""
     A, y = _check_problem(A, y)
-    if not (lam > 0.0):
-        raise ValueError(f"lam must be positive, got {lam}")
+    check_positive(lam, "lam")
     G = A.T @ A
     G[np.diag_indices(G.shape[0])] += lam
-    return solve_spd(G, A.T @ y)
+    try:
+        factor = scipy.linalg.cho_factor(G, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NotSPD("ridge system is not positive definite") from exc
+    return scipy.linalg.cho_solve(factor, A.T @ y, check_finite=False)
 
 
 def _check_multimodal(Xs, ys, aset):

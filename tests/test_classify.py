@@ -20,6 +20,7 @@ from mrarc.errors import (
     InconsistentModalities,
     IndexOutOfRange,
 )
+from mrarc.modal import ModalLoss
 from mrarc.solver import SolverConfig, SquaredLoss
 
 
@@ -213,6 +214,57 @@ def test_bsrc_accepts_custom_partition():
     custom = Partition([(0, 1), (2,), (3, 4), (5,)])
     res2 = classify(d, y, ClassifierSpec("MRBSRC", lam=1e-3, solver=FAST, block_partition=custom))
     assert res2.label == 1
+
+
+def _oracle_residuals(d, y, c, sigma):
+    out = []
+    for k in range(d.n_classes):
+        cols = np.flatnonzero(d.class_of == k)
+        r = y - d.atoms[:, cols] @ c[cols]
+        if sigma is None:
+            out.append(np.linalg.norm(r))
+        else:
+            out.append(np.sum(1.0 - np.exp(-(r * r) / (2.0 * sigma * sigma))))
+    return np.array(out)
+
+
+def test_residuals_follow_interleaved_class_labels():
+    # class columns are not contiguous, so the class layout permutes them
+    rng = np.random.default_rng(22)
+    labels = np.tile([2, 0, 1, 0, 2, 1], 2)
+    d = Dictionary.from_samples(rng.standard_normal((12, labels.size)), labels)
+    for trial in range(3):
+        ys = rng.standard_normal((2, d.atoms.shape[0]))
+        for method in METHODS:
+            sigma = 0.3 if method.startswith("MR") else None
+            loss = ModalLoss.fixed(sigma) if sigma else None
+            spec = ClassifierSpec(method, lam=1e-2, loss=loss, solver=FAST)
+            if method in MULTIMODAL_METHODS:
+                res = classify_multimodal([d, d], list(ys), spec)
+                want = sum(
+                    _oracle_residuals(d, y, res.coefficients[:, j], sigma)
+                    for j, y in enumerate(ys)
+                )
+            elif method == "LRC":
+                res = classify(d, ys[0], spec)
+                want = []
+                for k in range(d.n_classes):
+                    Ak = d.atoms[:, np.flatnonzero(labels == k)]
+                    ck = np.linalg.lstsq(Ak, ys[0], rcond=None)[0]
+                    want.append(np.linalg.norm(ys[0] - Ak @ ck))
+            else:
+                res = classify(d, ys[0], spec)
+                want = _oracle_residuals(d, ys[0], res.coefficients, sigma)
+            np.testing.assert_allclose(
+                res.residuals, want, rtol=1e-10, atol=1e-12, err_msg=method
+            )
+            assert res.label == int(np.argmin(res.residuals))
+        default = classify(d, ys[0], ClassifierSpec("BSRC", lam=1e-2, solver=FAST))
+        explicit = classify(d, ys[0], ClassifierSpec(
+            "BSRC", lam=1e-2, solver=FAST, block_partition=Partition.from_labels(labels),
+        ))
+        np.testing.assert_array_equal(default.coefficients, explicit.coefficients)
+        np.testing.assert_array_equal(default.residuals, explicit.residuals)
 
 
 def test_classify_validates_inputs():

@@ -142,6 +142,11 @@ def test_bad_synthetic_counts_become_config_errors():
 def test_bad_method_settings_become_config_errors():
     with pytest.raises(ConfigError, match=r"methods\[0\]"):
         parse_experiment(_base_config(methods=[{"name": "SRC", "lam": -1.0}]))
+    # Python's json accepts Infinity, so the parser must reject it itself
+    for field in ("lam", "min_sigma"):
+        method = json.loads(f'{{"name": "MRSRC", "{field}": Infinity}}')
+        with pytest.raises(ConfigError, match=field):
+            parse_experiment(_base_config(methods=[method]))
 
 
 def test_modal_method_bandwidth_options():
@@ -332,6 +337,24 @@ def test_main_exit_code_for_config_problems(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[1,")
     assert main(["bench", "--config", str(bad)]) == 2
+
+    out = tmp_path / "data"
+    assert main(["gen", "--out", str(out), "--seed", "1"]) == 0
+    train, query = str(out / "train.csv"), str(out / "test.csv")
+    resid = tmp_path / "resid.txt"
+    resid.write_text("0.1\n0.2\n0.4\n")
+    capsys.readouterr()
+    for argv in (
+        ["classify", "--train", train, "--query", query, "--lam", "-1"],
+        ["classify", "--train", train, "--query", query, "--max-iter", "0"],
+        ["classify", "--train", str(tmp_path / "no.csv"), "--query", query],
+        ["classify", "--train", train, "--query", str(tmp_path / "no.csv")],
+        ["modecheck", str(resid), "--sigma", "-1"],
+        ["modecheck", str(resid), "--grid-points", "2"],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:"), argv
 
 
 def test_main_exit_code_for_runtime_failures(tmp_path, capsys):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mrarc.errors import DimensionMismatch, NotSPD
-from mrarc.numkit import as_matrix, as_vector, solve_spd
+from mrarc.errors import DimensionMismatch
+from mrarc.numkit import as_matrix, as_vector
 
 
 def test_as_vector_converts_and_copies_dtype():
@@ -27,31 +27,3 @@ def test_non_finite_inputs_rejected():
         as_vector([1.0, np.nan], "v")
     with pytest.raises(ValueError):
         as_matrix([[np.inf, 0.0]], "M")
-
-
-def test_solve_spd_matches_generic_solver():
-    rng = np.random.default_rng(0)
-    for trial in range(20):
-        n = rng.integers(1, 12)
-        A = rng.standard_normal((n + 3, n))
-        M = A.T @ A + 0.5 * np.eye(n)
-        b = rng.standard_normal(n)
-        x = solve_spd(M, b)
-        np.testing.assert_allclose(x, np.linalg.solve(M, b), rtol=0, atol=1e-10)
-
-
-def test_solve_spd_rejects_asymmetric():
-    M = np.array([[2.0, 1.0], [0.0, 2.0]])
-    with pytest.raises(NotSPD):
-        solve_spd(M, np.ones(2))
-
-
-def test_solve_spd_rejects_indefinite():
-    M = np.array([[1.0, 0.0], [0.0, -1.0]])
-    with pytest.raises(NotSPD):
-        solve_spd(M, np.ones(2))
-
-
-def test_solve_spd_rejects_non_square():
-    with pytest.raises(DimensionMismatch):
-        solve_spd(np.ones((2, 3)), np.ones(2))

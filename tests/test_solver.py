@@ -3,7 +3,8 @@ import pytest
 
 from mrarc import kernels
 from mrarc.atomic import AtomicSet, Partition
-from mrarc.errors import DimensionMismatch, ShapeMismatch
+from mrarc.classify import ClassifierSpec
+from mrarc.errors import DimensionMismatch, NotSPD, ShapeMismatch
 from mrarc.modal import ModalLoss, mrlf
 from mrarc.solver import (
     SolverConfig,
@@ -55,6 +56,25 @@ def test_solver_config_validation():
         SolverConfig(hq_inner_max=0)
     with pytest.raises(TypeError):
         SolverConfig(loss="huber")
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: SolverConfig(lam=v),
+        lambda v: SolverConfig(mu=v),
+        lambda v: SolverConfig(epsilon=v),
+        lambda v: SolverConfig(hq_inner_tol=v),
+        lambda v: ClassifierSpec("SRC", lam=v),
+        lambda v: solve_crc(np.eye(2), np.ones(2), v),
+        lambda v: ModalLoss.adaptive(v),
+    ],
+    ids=["lam", "mu", "epsilon", "hq_inner_tol", "spec_lam", "crc_lam", "min_sigma"],
+)
+def test_non_finite_settings_rejected(make, bad):
+    with pytest.raises(ValueError, match="finite"):
+        make(bad)
 
 
 def test_solver_loss_type_enforced():
@@ -381,6 +401,13 @@ def test_crc_satisfies_normal_equations():
 def test_crc_rejects_nonpositive_lambda():
     with pytest.raises(ValueError):
         solve_crc(np.eye(2), np.ones(2), 0.0)
+
+
+def test_crc_reports_a_numerically_singular_ridge_system():
+    # more atoms than rows: A^T A is singular, and lam = 1e-300 is lost to rounding
+    A = _unit_columns(np.random.default_rng(0), 5, 8)
+    with pytest.raises(NotSPD):
+        solve_crc(A, np.ones(5), 1e-300)
 
 
 # ---------------------------------------------------------------------------
