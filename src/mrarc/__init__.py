@@ -62,6 +62,7 @@ from .errors import (
     InvalidSpec,
     MagicMismatch,
     MrarcError,
+    NonFiniteInput,
     NonPositiveGamma,
     NotSPD,
     ParseError,
@@ -122,6 +123,6 @@ __all__ = [
     "NonPositiveGamma", "UnsupportedKernel", "EmptyInput", "InvalidSpec",
     "GeometryMismatch", "MagicMismatch", "ConfigError",
     "InconsistentModalities", "EmptyQuerySet", "IndexOutOfRange",
-    "ParseError",
+    "ParseError", "NonFiniteInput",
     "__version__",
 ]

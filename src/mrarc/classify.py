@@ -6,16 +6,20 @@ smallest residual wins.  Methods with the MR prefix measure that residual
 with the modal-regression loss at the bandwidth the solver ended on; the
 squared-loss baselines use the l2 norm.  Ties break toward the lowest label.
 
-A ``Dictionary`` owns its class layout: the ``Partition`` of its columns by
-class, built on first use and kept.  All K class residuals come from one
-pass over that layout, BSRC uses it as its default block partition, and LRC
-fits one least-squares problem per block.
+A ``Dictionary`` keeps read-only copies of its arrays and the plans that
+depend only on them, each built on its first use and kept: the class layout
+(the ``Partition`` of its columns by class), the Cholesky factor of CRC's
+ridge system for each lam, and LRC's stacked class projector.  All K class
+residuals come from one pass over the layout, and BSRC uses it as its
+default block partition.  A CRC query then costs one triangular solve pair
+and an LRC query one matrix-vector product.
 """
 
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .atomic import AtomicSet, Partition
 from .errors import (
@@ -29,9 +33,9 @@ from .numkit import as_matrix, as_vector, check_positive
 from .solver import (
     SolverConfig,
     SquaredLoss,
+    _ridge_factor,
     solve_ar_squared,
     solve_ar_squared_multimodal,
-    solve_crc,
     solve_mrar,
     solve_mrar_multimodal,
 )
@@ -41,23 +45,35 @@ MULTIMODAL_METHODS = ("MRJSRC", "JSRC")
 METHODS = UNIMODAL_METHODS + MULTIMODAL_METHODS
 
 
+def _read_only(arr, given):
+    """``arr`` write-protected, copied first if the caller can still write to it."""
+    if arr.base is not None or (arr is given and arr.flags.writeable):
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class Dictionary:
-    """Unit-norm atom matrix with one class label per column."""
+    """Unit-norm atom matrix with one class label per column.
+
+    The arrays are read-only and belong to the dictionary, so the plans
+    cached from them cannot go stale.
+    """
 
     atoms: np.ndarray
     class_of: np.ndarray
     n_classes: int
 
     def __post_init__(self):
-        A = as_matrix(self.atoms, "atoms")
+        A = _read_only(as_matrix(self.atoms, "atoms"), self.atoms)
         labels = np.asarray(self.class_of)
         if labels.ndim != 1 or labels.shape[0] != A.shape[1]:
             raise DimensionMismatch("need one class label per dictionary column")
         if not np.issubdtype(labels.dtype, np.integer):
             if not np.all(labels == np.floor(labels)):
                 raise ValueError("class labels must be integers")
-        labels = labels.astype(np.int64)
+        labels = _read_only(labels.astype(np.int64, copy=False), self.class_of)
         if A.shape[1] == 0:
             raise DimensionMismatch("dictionary has no columns")
         norms = np.linalg.norm(A, axis=0)
@@ -78,11 +94,12 @@ class Dictionary:
     @classmethod
     def from_samples(cls, samples, labels):
         """Normalize sample columns to unit norm and wrap them up."""
-        A = as_matrix(samples, "samples").copy()
-        norms = np.linalg.norm(A, axis=0)
+        S = as_matrix(samples, "samples")
+        norms = np.linalg.norm(S, axis=0)
         if np.any(norms == 0.0):
             raise ValueError("cannot normalize a zero sample column")
-        A /= norms[None, :]
+        A = S / norms[None, :]
+        A.setflags(write=False)  # a fresh array: the dictionary keeps it uncopied
         labels = np.asarray(labels, dtype=np.int64)
         K = int(labels.max()) + 1 if labels.size else 0
         return cls(A, labels, K)
@@ -95,6 +112,38 @@ class Dictionary:
     def partition(self):
         """The class layout: block k of this Partition holds class k's columns."""
         return Partition.from_labels(self.class_of)
+
+    @cached_property
+    def _crc_factors(self):
+        return {}
+
+    def crc_factor(self, lam):
+        """Cholesky factor of A^T A + lam I, built on first use of each lam and kept."""
+        factor = self._crc_factors.get(lam)
+        if factor is None:
+            factor = self._crc_factors[lam] = _ridge_factor(self.atoms, lam)
+            factor[0].setflags(write=False)
+        return factor
+
+    @cached_property
+    def lrc_projector(self):
+        """n x m matrix whose rows at class k's columns are the pseudo-inverse
+        of class k's block, so ``lrc_projector @ y`` holds every class's
+        least-squares code at once.
+
+        Singular values below lstsq's own cut-off, ``max(m, n_k) * eps`` of
+        the largest, count as zero, so a class with dependent columns gets
+        its minimum-norm fit.
+        """
+        A = self.atoms
+        order, bounds = self.partition.arrays()
+        P = np.empty((A.shape[1], A.shape[0]))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            cols = order[lo:hi]
+            rcond = max(A.shape[0], cols.size) * np.finfo(np.float64).eps
+            P[cols] = np.linalg.pinv(A[:, cols], rcond=rcond)
+        P.setflags(write=False)
+        return P
 
     def columns_of_class(self, k):
         if not (0 <= int(k) < self.n_classes):
@@ -206,7 +255,8 @@ def classify(dictionary, y, spec):
     if spec.method == "LRC":
         return classify_lrc(dictionary, y)
     if spec.method == "CRC":
-        c = solve_crc(dictionary.atoms, y, spec.lam)
+        A = dictionary.atoms
+        c = scipy.linalg.cho_solve(dictionary.crc_factor(spec.lam), A.T @ y, check_finite=False)
         res = _class_residuals(dictionary, y, c, None)
         return ClassificationResult(int(np.argmin(res)), res, c, 0, True)
     loss = _effective_loss(spec)
@@ -226,29 +276,18 @@ def classify(dictionary, y, spec):
 def classify_lrc(dictionary, y):
     """Per-class least-squares projection; nearest subspace wins.
 
-    Each class block is fitted with the rank-revealing ``np.linalg.lstsq``,
-    so a class with dependent columns gets its minimum-norm fit.  The
-    returned coefficients embed the winning class's fit into a full
-    dictionary-length vector, zeros elsewhere.
+    One product with the dictionary's ``lrc_projector`` fits every class
+    (minimum-norm on dependent columns).  The returned coefficients embed
+    the winning class's fit into a full dictionary-length vector, zeros
+    elsewhere.
     """
     y = as_vector(y, "query")
-    A = dictionary.atoms
-    if y.shape[0] != A.shape[0]:
+    if y.shape[0] != dictionary.atoms.shape[0]:
         raise DimensionMismatch("query length does not match dictionary rows")
-    order, bounds = dictionary.partition.arrays()
-    res = np.empty(dictionary.n_classes)
-    fits = []
-    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        cols = order[lo:hi]
-        Ak = A[:, cols]
-        ck = np.linalg.lstsq(Ak, y, rcond=None)[0]
-        fits.append((cols, ck))
-        res[k] = float(np.linalg.norm(y - Ak @ ck))
+    fits = dictionary.lrc_projector @ y
+    res = _class_residuals(dictionary, y, fits, None)
     label = int(np.argmin(res))
-    cols, ck = fits[label]
-    coeffs = np.zeros(dictionary.n_atoms)
-    coeffs[cols] = ck
-    return ClassificationResult(label, res, coeffs, 0, True)
+    return ClassificationResult(label, res, restrict_to_class(fits, dictionary, label), 0, True)
 
 
 def classify_multimodal(dictionaries, ys, spec):

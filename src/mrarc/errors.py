@@ -9,6 +9,10 @@ class DimensionMismatch(MrarcError, ValueError):
     """Operands have incompatible shapes."""
 
 
+class NonFiniteInput(MrarcError, ValueError):
+    """An input array holds NaN or Inf."""
+
+
 class NotSPD(MrarcError, ValueError):
     """Matrix is not symmetric positive definite."""
 

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteInput
 
 
 def as_vector(x, name="vector"):
@@ -19,7 +19,7 @@ def as_vector(x, name="vector"):
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-D, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains NaN or Inf")
+        raise NonFiniteInput(f"{name} contains NaN or Inf")
     return v
 
 
@@ -29,7 +29,7 @@ def as_matrix(x, name="matrix"):
     if m.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains NaN or Inf")
+        raise NonFiniteInput(f"{name} contains NaN or Inf")
     return m
 
 

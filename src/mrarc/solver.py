@@ -228,17 +228,21 @@ def solve_ar_squared(X, y, aset, cfg):
     return _one_column(_squared_admm([(X, y)], aset, cfg), None)
 
 
-def solve_crc(A, y, lam):
-    """Collaborative ridge representation (A^T A + lam I)^{-1} A^T y."""
-    A, y = _check_problem(A, y)
+def _ridge_factor(A, lam):
+    """Cholesky factor of A^T A + lam I, as ``scipy.linalg.cho_factor`` gives it."""
     check_positive(lam, "lam")
     G = A.T @ A
     G[np.diag_indices(G.shape[0])] += lam
     try:
-        factor = scipy.linalg.cho_factor(G, lower=True, overwrite_a=True, check_finite=False)
+        return scipy.linalg.cho_factor(G, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NotSPD("ridge system is not positive definite") from exc
-    return scipy.linalg.cho_solve(factor, A.T @ y, check_finite=False)
+
+
+def solve_crc(A, y, lam):
+    """Collaborative ridge representation (A^T A + lam I)^{-1} A^T y."""
+    A, y = _check_problem(A, y)
+    return scipy.linalg.cho_solve(_ridge_factor(A, lam), A.T @ y, check_finite=False)
 
 
 def _check_multimodal(Xs, ys, aset):

@@ -12,6 +12,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from mrarc import kernels
 from mrarc.atomic import AtomicSet, Partition, prox
@@ -79,6 +80,7 @@ def test_criterion_1_prox_operators_match_line_search_oracles():
     assert time.perf_counter() - t0 < 5.0
 
 
+@pytest.mark.slow
 def test_criterion_2_squared_admm_matches_ista_on_lasso():
     # 50 random instances (m=10, n=20) at lam in {0.01, 0.1, 1}: the ADMM
     # objective never exceeds the ISTA objective by more than 1e-4
@@ -131,6 +133,7 @@ def test_criterion_3_hq_passes_never_increase_subproblem_objective():
     assert time.perf_counter() - t0 < 10.0
 
 
+@pytest.mark.slow
 def test_criterion_4_converged_implies_both_gaps_below_tolerance():
     # whenever a solve reports converged=True, the final consensus gap
     # ||c - z||_inf and step ||delta c||_inf are both under epsilon = 1e-7
@@ -172,6 +175,7 @@ def test_criterion_5_mode_of_contaminated_mixture_sits_at_zero():
     assert time.perf_counter() - t0 < 2.0
 
 
+@pytest.mark.slow
 def test_criterion_6_modal_loss_wins_under_impulsive_corruption():
     # K=10 classes, d=5, m=100, 30 train / 20 test per class, 10 seeds:
     # clean accuracy >= 0.95 for both SRC and MRSRC; at 40% corruption
@@ -256,6 +260,7 @@ def test_criterion_7_joint_solver_ties_rows_and_matches_single_modality():
     assert agree == 20
 
 
+@pytest.mark.slow
 def test_criterion_8_degeneracy_identities_hold():
     rng = np.random.default_rng(8)
 
@@ -312,6 +317,7 @@ def test_criterion_8_degeneracy_identities_hold():
             assert abs(res.residuals[k] - np.linalg.norm(y - Ak @ ck)) <= 1e-8
 
 
+@pytest.mark.slow
 def test_criterion_9_bench_runs_are_byte_identical(tmp_path):
     cfg = {
         "data": {

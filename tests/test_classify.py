@@ -21,7 +21,7 @@ from mrarc.errors import (
     IndexOutOfRange,
 )
 from mrarc.modal import ModalLoss
-from mrarc.solver import SolverConfig, SquaredLoss
+from mrarc.solver import SolverConfig, SquaredLoss, solve_crc
 
 
 def _orthogonal_subspace_dictionary(rng, n_classes=3, block=4, per_class=5):
@@ -93,6 +93,44 @@ def test_columns_of_class_bounds():
         d.columns_of_class(2)
     with pytest.raises(IndexOutOfRange):
         d.columns_of_class(-1)
+
+
+def test_dictionary_owns_read_only_arrays():
+    rng = np.random.default_rng(2)
+    S = rng.standard_normal((6, 4))
+    S /= np.linalg.norm(S, axis=0)
+    labels = np.array([0, 1, 0, 1])
+    kept_atoms, kept_labels = S.copy(), labels.copy()
+    for atoms in (S, S[:, ::1]):  # the caller's array, and a view of it
+        d = Dictionary(atoms, labels, 2)
+        assert not d.atoms.flags.writeable and not d.class_of.flags.writeable
+        assert not np.shares_memory(d.atoms, S)
+        assert not np.shares_memory(d.class_of, labels)
+        with pytest.raises(ValueError):
+            d.atoms[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            d.class_of[0] = 1
+    assert S.flags.writeable and labels.flags.writeable
+    S[0, 0], labels[0] = 9.0, 1
+    np.testing.assert_array_equal(d.atoms, kept_atoms)
+    np.testing.assert_array_equal(d.class_of, kept_labels)
+
+    e = Dictionary.from_samples(5.0 * S, labels)
+    assert not e.atoms.flags.writeable and not e.class_of.flags.writeable
+    # arrays another dictionary already owns are shared, not copied
+    f = Dictionary(e.atoms, e.class_of, e.n_classes)
+    assert f.atoms is e.atoms and f.class_of is e.class_of
+
+
+def test_constructing_a_dictionary_builds_no_plan():
+    rng = np.random.default_rng(3)
+    d = Dictionary.from_samples(rng.standard_normal((8, 6)), np.repeat([0, 1, 2], 2))
+    plans = {"partition", "_crc_factors", "lrc_projector"}
+    assert plans.isdisjoint(vars(d))
+    y = rng.standard_normal(8)
+    for method in ("CRC", "LRC"):
+        classify(d, y, ClassifierSpec(method, lam=0.1))
+    assert plans <= set(vars(d))
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +212,17 @@ def test_crc_and_lrc_take_no_iterations():
         res = classify(d, y, ClassifierSpec(method))
         assert res.iterations == 0
         assert res.converged
+
+
+def test_crc_keeps_one_factor_per_lambda():
+    rng = np.random.default_rng(7)
+    d = Dictionary.from_samples(rng.standard_normal((10, 12)), np.tile([1, 0, 2], 4))
+    for y in rng.standard_normal((3, 10)):
+        for lam in (1e-3, 0.5, 1e-3):
+            res = classify(d, y, ClassifierSpec("CRC", lam=lam))
+            np.testing.assert_array_equal(res.coefficients, solve_crc(d.atoms, y, lam))
+    assert d.crc_factor(0.5) is d.crc_factor(0.5)
+    assert d.crc_factor(0.5)[0] is not d.crc_factor(1e-3)[0]
 
 
 def test_tie_breaks_to_lowest_class_index():
@@ -349,6 +398,43 @@ def test_lrc_handles_rank_deficient_class():
     res = classify_lrc(d, y)
     assert res.label == 0
     assert res.residuals[0] <= 1e-4
+
+
+def test_lrc_projector_matches_lstsq_on_ill_conditioned_and_singular_classes():
+    rng = np.random.default_rng(15)
+    m, labels = 12, np.tile([2, 0, 1, 0, 2, 1], 2)
+    S = rng.standard_normal((m, labels.size))
+    # class 0 spans a badly conditioned basis, class 1 holds a duplicated atom
+    U, _ = np.linalg.qr(rng.standard_normal((m, 4)))
+    V, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    S[:, labels == 0] = U @ np.diag(np.logspace(0, -6, 4)) @ V
+    dup = np.flatnonzero(labels == 1)
+    S[:, dup[1]] = S[:, dup[0]]
+    d = Dictionary.from_samples(S, labels)
+    blocks = [np.flatnonzero(labels == k) for k in range(3)]
+    cond = np.linalg.cond(d.atoms[:, blocks[0]])
+    assert 1e5 < cond < 1e7
+    assert np.linalg.matrix_rank(d.atoms[:, blocks[1]]) == blocks[1].size - 1
+    # in class 0's span the codes are O(1) and fixed only to about eps * cond
+    cases = [(y, 1e-12) for y in rng.standard_normal((6, m))]
+    cases += [
+        (d.atoms[:, cols] @ rng.standard_normal(cols.size), 10.0 * np.finfo(float).eps * cond)
+        for cols in blocks
+    ]
+    for y, rtol in cases:
+        want_c = np.zeros(d.n_atoms)
+        want_res = np.empty(3)
+        for k, cols in enumerate(blocks):
+            want_c[cols] = np.linalg.lstsq(d.atoms[:, cols], y, rcond=None)[0]
+            want_res[k] = np.linalg.norm(y - d.atoms[:, cols] @ want_c[cols])
+        fits = d.lrc_projector @ y
+        scale = 1.0 + np.max(np.abs(want_c))
+        assert np.max(np.abs(fits - want_c)) <= rtol * scale
+        res = classify_lrc(d, y)
+        assert res.label == int(np.argmin(want_res))
+        assert np.max(np.abs(res.residuals - want_res)) <= 1e-9 * (1.0 + np.linalg.norm(y))
+        won = restrict_to_class(want_c, d, res.label)
+        assert np.max(np.abs(res.coefficients - won)) <= rtol * scale
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,25 @@ def test_failed_cell_becomes_nan_row(monkeypatch):
     assert math.isnan(summary["cells"][0]["accuracy"]["mean"])
 
 
+def test_non_finite_query_fails_only_its_cell(monkeypatch):
+    real = cli._apply_noise
+
+    def nan_at_level_zero(test, template, seed):
+        noisy = real(test, template, seed)
+        if template.fraction == 0.0:
+            noisy.samples[0, 0] = np.nan
+        return noisy
+
+    monkeypatch.setattr(cli, "_apply_noise", nan_at_level_zero)
+    noise = [{"kind": "pixel_corruption", "fraction": f} for f in (0.0, 0.1)]
+    rows, summary = run_experiment(parse_experiment(_base_config(noise=noise)))
+    by_level = {r["noise_level"]: r["accuracy"] for r in rows}
+    assert math.isnan(by_level[0.0])
+    assert 0.0 <= by_level[0.1] <= 1.0
+    assert [e["noise_level"] for e in summary["errors"]] == [0.0]
+    assert "NaN or Inf" in summary["errors"][0]["error"]
+
+
 def test_format_rows_csv_layout():
     rows = [
         {
@@ -355,6 +374,26 @@ def test_main_exit_code_for_config_problems(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:"), argv
+
+
+def test_main_reports_non_finite_input_without_a_traceback(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert main(["gen", "--out", str(out), "--seed", "1"]) == 0
+    rows = (out / "train.csv").read_text().splitlines()
+    rows[0] = ",".join(["inf"] + rows[0].split(",")[1:])
+    train = tmp_path / "train_inf.csv"
+    train.write_text("\n".join(rows) + "\n")
+    resid = tmp_path / "resid.txt"
+    resid.write_text("0.1\nnan\n0.4\n")
+    capsys.readouterr()
+    for argv in (
+        ["modecheck", str(resid)],
+        ["classify", "--train", str(train), "--query", str(out / "test.csv")],
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:"), argv
+        assert "NaN or Inf" in err, argv
 
 
 def test_main_exit_code_for_runtime_failures(tmp_path, capsys):

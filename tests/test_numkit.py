@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mrarc.errors import DimensionMismatch
+from mrarc.errors import DimensionMismatch, MrarcError, NonFiniteInput
 from mrarc.numkit import as_matrix, as_vector
 
 
@@ -27,3 +27,13 @@ def test_non_finite_inputs_rejected():
         as_vector([1.0, np.nan], "v")
     with pytest.raises(ValueError):
         as_matrix([[np.inf, 0.0]], "M")
+
+
+def test_non_finite_input_is_a_library_error():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteInput) as vec:
+            as_vector([1.0, bad], "v")
+        with pytest.raises(NonFiniteInput) as mat:
+            as_matrix([[bad, 0.0]], "M")
+        for exc in (vec.value, mat.value):
+            assert isinstance(exc, MrarcError) and isinstance(exc, ValueError)

@@ -196,6 +196,7 @@ def test_hq_inner_loop_is_monotone_at_fixed_sigma():
             prev = cur
 
 
+@pytest.mark.slow
 def test_exit_contract_when_converged():
     rng = np.random.default_rng(4)
     for trial in range(10):
@@ -328,6 +329,7 @@ def test_scale_coherence_of_the_lasso():
     )
 
 
+@pytest.mark.slow
 def test_singleton_blocks_match_sparse_solution():
     rng = np.random.default_rng(14)
     X = rng.standard_normal((8, 12))
