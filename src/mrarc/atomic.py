@@ -123,17 +123,24 @@ def _check_vector_arg(aset, c):
 
 
 def vector_prox_arrays(aset, n):
-    """(order, bounds) arrays realizing a vector atomic set as blocks."""
+    """(order, bounds) arrays realizing a vector atomic set as blocks.
+
+    ``order`` is None when it is the identity, so ``block_shrink`` needs no
+    gather or scatter.
+    """
     if aset.kind == SPARSE:
-        return np.arange(n, dtype=np.int64), np.arange(n + 1, dtype=np.int64)
+        return None, np.arange(n + 1, dtype=np.int64)
     if aset.kind == COLLABORATIVE:
-        return np.arange(n, dtype=np.int64), np.array([0, n], dtype=np.int64)
+        return None, np.array([0, n], dtype=np.int64)
     if aset.kind == BLOCK:
         if aset.partition.size != n:
             raise ShapeMismatch(
                 f"partition size {aset.partition.size} does not match length {n}"
             )
-        return aset.partition.arrays()
+        order, bounds = aset.partition.arrays()
+        if np.array_equal(order, np.arange(n)):
+            order = None
+        return order, bounds
     raise ShapeMismatch(f"{aset.kind} atoms do not apply to vectors")
 
 
@@ -145,15 +152,8 @@ def atomic_norm(aset, c):
             raise ShapeMismatch("joint-rows norm needs a 2-D coefficient array")
         if not np.all(np.isfinite(C)):
             raise ValueError("coefficients contain NaN or Inf")
-        return _norm(aset, C)
-    return _norm(aset, _check_vector_arg(aset, c))
-
-
-def _norm(aset, c):
-    # atomic_norm without the input checks, for arrays already validated; the
-    # vector sets also take an n x 1 matrix, whose norm is that of its column
-    if aset.kind == JOINT_ROWS:
-        return float(np.sqrt((c * c).sum(axis=1)).sum())
+        return float(np.sqrt((C * C).sum(axis=1)).sum())
+    c = _check_vector_arg(aset, c)
     if aset.kind == SPARSE:
         return float(np.abs(c).sum())
     if aset.kind == COLLABORATIVE:

@@ -53,12 +53,13 @@ def _read_only(arr, given):
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dictionary:
     """Unit-norm atom matrix with one class label per column.
 
     The arrays are read-only and belong to the dictionary, so the plans
-    cached from them cannot go stale.
+    cached from them cannot go stale.  Two dictionaries are equal only when
+    they are the same object, and one hashes by its identity.
     """
 
     atoms: np.ndarray

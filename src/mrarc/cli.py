@@ -45,7 +45,9 @@ from .errors import ConfigError, MrarcError
 from .modal import Kernel, ModalLoss, estimate_mode, parzen_density
 from .solver import SolverConfig, SquaredLoss
 
-CSV_HEADER = "method,noise_level,repeat,accuracy,mean_solver_iters,wall_time_ms"
+CSV_HEADER = (
+    "method,noise_level,repeat,accuracy,mean_solver_iters,converged_share,wall_time_ms"
+)
 
 
 @dataclass(frozen=True)
@@ -247,7 +249,9 @@ def run_experiment(spec, out_dir=None):
 
     Repeat r regenerates synthetic data with seed ``spec.seed + r``; noise
     for level l uses seed ``spec.seed + r + 7919 (l+1)``.  Rows are sorted by
-    (method, noise level, repeat).  Cells that raise are recorded with NaN
+    (method, noise level, repeat).  Besides the accuracy, a row holds the mean
+    solver iterations and the share of queries whose solve converged (a
+    closed-form method always does).  Cells that raise are recorded with NaN
     accuracy and the sweep continues.
     """
     out_dir = out_dir if out_dir is not None else spec.output
@@ -279,9 +283,11 @@ def run_experiment(spec, out_dir=None):
                     t0 = time.perf_counter()
                     correct = 0
                     iter_total = 0
+                    converged = 0
                     for q in range(noisy.n_samples):
                         res = classify(dictionary, noisy.samples[:, q], mspec)
                         iter_total += res.iterations
+                        converged += bool(res.converged)
                         if res.label == int(noisy.labels[q]):
                             correct += 1
                     wall_ms = (time.perf_counter() - t0) * 1e3
@@ -293,6 +299,7 @@ def run_experiment(spec, out_dir=None):
                             "repeat": rep,
                             "accuracy": correct / nq,
                             "mean_solver_iters": iter_total / nq,
+                            "converged_share": converged / nq,
                             "wall_time_ms": wall_ms if spec.record_timing else 0.0,
                         }
                     )
@@ -312,6 +319,7 @@ def run_experiment(spec, out_dir=None):
                             "repeat": rep,
                             "accuracy": math.nan,
                             "mean_solver_iters": math.nan,
+                            "converged_share": math.nan,
                             "wall_time_ms": 0.0,
                         }
                     )
@@ -348,12 +356,13 @@ def format_rows_csv(rows):
     lines = [CSV_HEADER]
     for r in rows:
         lines.append(
-            "{method},{level:g},{rep},{acc:.6f},{it:.2f},{wall:.3f}".format(
+            "{method},{level:g},{rep},{acc:.6f},{it:.2f},{conv:.6f},{wall:.3f}".format(
                 method=r["method"],
                 level=r["noise_level"],
                 rep=r["repeat"],
                 acc=r["accuracy"],
                 it=r["mean_solver_iters"],
+                conv=r["converged_share"],
                 wall=r["wall_time_ms"],
             )
         )

@@ -6,26 +6,41 @@ passes (``hq_inner``) and the squared-loss ridge step (``squared_zstep``).
 The solvers look them up through ``active()`` at call time, so a caller can
 wrap the namespace it returns, for instance to trace the calls.
 
-The shrinkage kernels compute the update as ``z - gamma * (z / norm)``, so a
-singleton block reproduces the scalar soft threshold bit for bit.  The ridge
-solves (``hq_inner``, ``squared_zstep``) call LAPACK ``potrf``/``potrs``
-directly, without the checks and copies of the numpy and scipy wrappers, and
-raise ``numpy.linalg.LinAlgError`` when a system is not positive definite.
+The shrinkage kernels compute the update as ``z - gamma * (z / norm)`` and
+zero every group whose computed norm does not exceed gamma.  ``block_shrink``
+takes two fast paths with the same result bit for bit: singleton blocks
+(``bounds`` one longer than ``z``) shrink elementwise with the norm ``|z|``,
+which is the scalar soft threshold, and ``order=None`` stands for the
+identity order, which needs no gather or scatter.
+
+The HQ passes of ``hq_inner`` solve their ridge system with one LAPACK
+``posv`` call each, and ``squared_zstep`` applies a kept factor with
+``potrs``; both call LAPACK directly, without the checks and copies of the
+numpy and scipy wrappers, and raise ``numpy.linalg.LinAlgError`` when a
+system is not positive definite.  ``hq_inner`` takes an optional trailing
+``e0``, the residual y - X z0 the caller already has, which its first pass
+then uses instead of computing it again.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dposv, dpotrs
 
 
 def _block_shrink(z, order, bounds, gamma):
-    zo = z[order]
+    if bounds.size == z.size + 1:
+        # singletons: no gather needed whatever the order; z / |z| is sign(z)
+        return np.where(np.abs(z) > gamma, z - gamma * np.sign(z), 0.0)
+    zo = z if order is None else z[order]
     norms = np.sqrt(np.add.reduceat(zo * zo, bounds[:-1]))
-    # a zero block keeps norm 1 here; it shrinks to zero either way
-    nz = np.repeat(np.where(norms > 0.0, norms, 1.0), bounds[1:] - bounds[:-1])
+    # a block that goes to zero divides by gamma instead of its norm, which
+    # may be 0 (or have underflowed to it)
+    nz = np.repeat(np.where(norms > gamma, norms, gamma), bounds[1:] - bounds[:-1])
     shrunk = np.where(nz > gamma, zo - gamma * (zo / nz), 0.0)
-    out = np.zeros_like(z)
+    if order is None:
+        return shrunk
+    out = np.empty_like(z)
     out[order] = shrunk
     return out
 
@@ -37,13 +52,13 @@ def _row_shrink(Z, gamma):
     return np.where((norms > gamma)[:, None], Z - gamma * unit, 0.0)
 
 
-def _potrf(A):
-    # lower Cholesky factor from A's lower triangle; a Fortran-ordered A is
-    # factored in place, any other is copied first
-    L, info = dpotrf(A, lower=1, clean=0, overwrite_a=1)
+def _posv(A, b):
+    # solves A x = b from A's lower triangle; a Fortran-ordered A is factored
+    # in place, any other is copied first, and b is overwritten
+    _, x, info = dposv(A, b, lower=1, overwrite_a=1, overwrite_b=1)
     if info:
-        raise np.linalg.LinAlgError(f"matrix is not positive definite (dpotrf info {info})")
-    return L
+        raise np.linalg.LinAlgError(f"matrix is not positive definite (dposv info {info})")
+    return x
 
 
 def _potrs(L, b):
@@ -53,9 +68,10 @@ def _potrs(L, b):
     return x
 
 
-def _hq_inner(X, Xt, XXt, y, v, mu, sigma, z0, tol, max_passes, woodbury):
+def _hq_inner(X, Xt, XXt, y, v, mu, sigma, z0, tol, max_passes, woodbury, e0=None):
     # Alternates the weight update w_i = exp(-e_i^2/(2 sigma^2)) / sigma^2 with
-    # the weighted ridge solve (X^T W X + mu I) z = X^T W y + mu v.
+    # the weighted ridge solve (X^T W X + mu I) z = X^T W y + mu v.  The first
+    # pass takes its residual y - X z0 from e0 when given (it is not modified).
     m = X.shape[0]
     neg_inv_two_s2 = -1.0 / (2.0 * sigma * sigma)
     inv_s2 = 1.0 / (sigma * sigma)
@@ -63,8 +79,12 @@ def _hq_inner(X, Xt, XXt, y, v, mu, sigma, z0, tol, max_passes, woodbury):
     z = z0
     passes = 0
     for _ in range(max_passes):
-        e = y - X @ z
-        e *= e
+        if e0 is None:
+            e = y - X @ z
+            e *= e
+        else:
+            e = e0 * e0
+            e0 = None
         e *= neg_inv_two_s2
         w = np.exp(e, out=e)
         w *= inv_s2
@@ -76,14 +96,14 @@ def _hq_inner(X, Xt, XXt, y, v, mu, sigma, z0, tol, max_passes, woodbury):
             S *= XXt
             S.ravel()[:: m + 1] += mu
             # S is symmetric, so S.T is S in Fortran order: factored in place
-            u = _potrs(_potrf(S.T), sw * (X @ b))
+            u = _posv(S.T, sw * (X @ b))
             u *= sw
             z_new = b - Xt @ u
             z_new /= mu
         else:
             M = Xt @ (X * w[:, None])
             M.ravel()[:: M.shape[0] + 1] += mu
-            z_new = _potrs(_potrf(M), b)
+            z_new = _posv(M, b)
         passes += 1
         dz = np.abs(z_new - z).max()
         z = z_new

@@ -10,6 +10,12 @@ coefficient matrix, one column per modality, and the unimodal solvers are
 the case V = 1.  Iteration stops when both ||c - z||_inf and the c step drop
 below epsilon.
 
+Each iteration computes only what the next iterate or the stop test needs:
+the history keeps the gap, the step and the bandwidth, which the loop has at
+hand, and no objective.  The residual y - X z behind an adaptive bandwidth
+is handed on to the first half-quadratic pass, and whether the shrink's
+block layout is in identity order is settled once per solve.
+
 Systems with more atoms than observations are solved through the m x m dual
 form of the ridge system (precomputed X X^T), which keeps the per-iteration
 cost at O(m^2 n) instead of O(n^2 m).
@@ -22,9 +28,9 @@ import numpy as np
 import scipy.linalg
 
 from . import kernels
-from .atomic import JOINT_ROWS, _norm, vector_prox_arrays
+from .atomic import JOINT_ROWS, vector_prox_arrays
 from .errors import DimensionMismatch, EmptyInput, NotSPD, ShapeMismatch
-from .modal import ModalLoss, _mrlf_raw, default_sigma_floor
+from .modal import ModalLoss, default_sigma_floor
 from .numkit import as_matrix, as_vector, check_positive
 
 
@@ -58,11 +64,14 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveHistory:
-    """Per-iteration ||c - z||_inf, ||c step||_inf, objective, and sigma."""
+    """Per-iteration ||c - z||_inf, ||c step||_inf and largest bandwidth.
+
+    These are the figures the loop computes anyway for its stop test and its
+    bandwidth refresh; sigma is NaN for the squared loss.
+    """
 
     gap: np.ndarray
     step: np.ndarray
-    objective: np.ndarray
     sigma: np.ndarray
 
 
@@ -87,16 +96,16 @@ def _check_problem(X, y):
     return X, y
 
 
-def _admm(pairs, aset, cfg, impl, zstep, data_loss, sigma, floors=None):
+def _admm(pairs, aset, cfg, impl, zstep, sigma, floors=None):
     """The c = z ADMM loop shared by the four iterative solvers.
 
     The coefficients form an n x V matrix, one column per modality (X_j, y_j)
     of ``pairs``; the unimodal solvers are the case V = 1.  Each iteration
     refreshes the bandwidths ``sigma`` (one per column) from the residuals
-    y_j - X_j z_j when ``floors`` is given, takes the atomic prox of z - u,
-    runs the loss's ``zstep(j, c_j, u_j, dual_j, z_j, sigma_j)`` on every
-    column, and updates the unscaled dual; u = dual / mu.  ``data_loss(r,
-    sigma_j)`` is the loss of residual r, for the history's objective.
+    e_j = y_j - X_j z_j when ``floors`` is given, takes the atomic prox of
+    z - u, runs the loss's ``zstep(j, c_j, u_j, dual_j, z_j, sigma_j, e_j)``
+    on every column (e_j is None without a refresh), and updates the
+    unscaled dual; u = dual / mu.
     """
     n, nmod = pairs[0][0].shape[1], len(pairs)
     mu, lam, eps = cfg.mu, cfg.lam, cfg.epsilon
@@ -114,27 +123,25 @@ def _admm(pairs, aset, cfg, impl, zstep, data_loss, sigma, floors=None):
     C = np.zeros((n, nmod))
     Z = np.zeros((n, nmod))
     dual = np.zeros((n, nmod))
-    hist = np.empty((4, max_iter))
+    resid = [None] * nmod
+    hist = np.empty((3, max_iter))
     converged = False
     iterations = max_iter
     for i in range(max_iter):
         if floors is not None:
             for j, (X, y) in enumerate(pairs):
-                r = y - X @ Z[:, j]
+                r = resid[j] = y - X @ Z[:, j]
                 sigma[j] = max(floors[j], math.sqrt(float(r @ r) / (2.0 * r.size)))
         u = dual / mu
         C_prev = C
         C = shrink(Z - u)
         for j in range(nmod):
-            Z[:, j] = zstep(j, C[:, j], u[:, j], dual[:, j], Z[:, j], sigma[j])
+            Z[:, j] = zstep(j, C[:, j], u[:, j], dual[:, j], Z[:, j], sigma[j], resid[j])
         D = C - Z
         dual += mu * D
         gap = float(np.abs(D).max())
         step = float(np.abs(C - C_prev).max())
-        obj = lam * _norm(aset, C)
-        for j, (X, y) in enumerate(pairs):
-            obj += data_loss(y - X @ C[:, j], sigma[j])
-        hist[:, i] = gap, step, obj, max(sigma)
+        hist[:, i] = gap, step, max(sigma)
         if gap < eps and step < eps:
             converged = True
             iterations = i + 1
@@ -165,16 +172,16 @@ def _modal_admm(pairs, aset, cfg):
             for _, y in pairs
         ]
 
-    def zstep(j, c, u, d, z, s):
+    def zstep(j, c, u, d, z, s, e):
         X, y = pairs[j]
         z, _ = impl.hq_inner(
             X, Xts[j], XXts[j], y, c + u, mu, s, np.ascontiguousarray(z),
-            tol, passes, wb[j],
+            tol, passes, wb[j], e,
         )
         return z
 
     sigma = [loss.kernel.sigma] * len(pairs)
-    return _admm(pairs, aset, cfg, impl, zstep, _mrlf_raw, sigma, floors)
+    return _admm(pairs, aset, cfg, impl, zstep, sigma, floors)
 
 
 def _squared_prefactor(X, Xt, mu, woodbury):
@@ -197,14 +204,11 @@ def _squared_admm(pairs, aset, cfg):
     Ls = [_squared_prefactor(X, Xt, mu, w) for (X, _), Xt, w in zip(pairs, Xts, wb)]
     b_consts = [2.0 * (Xt @ y) for Xt, (_, y) in zip(Xts, pairs)]
 
-    def zstep(j, c, u, d, z, s):
+    def zstep(j, c, u, d, z, s, e):
         X = pairs[j][0]
         return impl.squared_zstep(Ls[j], X, Xts[j], b_consts[j] + mu * c + d, mu, wb[j])
 
-    def data_loss(r, s):
-        return float(r @ r)
-
-    return _admm(pairs, aset, cfg, impl, zstep, data_loss, [np.nan] * len(pairs))
+    return _admm(pairs, aset, cfg, impl, zstep, [np.nan] * len(pairs))
 
 
 def solve_mrar(X, y, aset, cfg):

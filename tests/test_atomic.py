@@ -176,6 +176,23 @@ def test_prox_zero_input_stays_zero():
     assert np.all(prox(AtomicSet.joint_rows(), np.zeros((4, 2)), 0.3) == 0.0)
 
 
+def test_prox_zeroes_groups_whose_squared_norm_underflows():
+    # the squares of 1e-170 underflow to 0, but the true norms of these
+    # groups are far below gamma, so each group must come out exactly zero
+    gamma = 0.01
+    z = np.array([1e-170, -2e-170, 0.5])
+    want = np.array([0.0, 0.0, 0.5 - gamma])
+    np.testing.assert_array_equal(prox(AtomicSet.sparse(), z, gamma), want)
+    blocks = AtomicSet.block(Partition([(0, 1), (2,)]))
+    np.testing.assert_array_equal(prox(blocks, z, gamma), want)
+    np.testing.assert_array_equal(
+        prox(AtomicSet.collaborative(), np.array([1e-170, -2e-170, 0.0]), gamma),
+        np.zeros(3),
+    )
+    rows = prox(AtomicSet.joint_rows(), np.array([[1e-170, -2e-170], [0.5, 0.0]]), gamma)
+    np.testing.assert_array_equal(rows, [[0.0, 0.0], [0.5 - gamma, 0.0]])
+
+
 @pytest.mark.parametrize("aset", [AtomicSet.sparse(), AtomicSet.collaborative()])
 def test_prox_of_an_empty_vector_is_empty(aset):
     out = prox(aset, np.array([]), 0.3)

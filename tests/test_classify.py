@@ -122,6 +122,16 @@ def test_dictionary_owns_read_only_arrays():
     assert f.atoms is e.atoms and f.class_of is e.class_of
 
 
+def test_dictionaries_compare_and_hash_by_identity():
+    atoms, labels = np.eye(3), np.array([0, 1, 2])
+    d, twin = Dictionary(atoms, labels, 3), Dictionary(atoms, labels, 3)
+    assert d == d and not (d != d)
+    assert d != twin and not (d == twin)
+    assert hash(d) == hash(d) and hash(d) != hash(twin)
+    assert {d, twin, d} == {d, twin} and len({d, twin}) == 2
+    assert d in {d} and twin not in {d}
+
+
 def test_constructing_a_dictionary_builds_no_plan():
     rng = np.random.default_rng(3)
     d = Dictionary.from_samples(rng.standard_normal((8, 6)), np.repeat([0, 1, 2], 2))

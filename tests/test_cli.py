@@ -45,8 +45,10 @@ def _base_config(**overrides):
 # ---------------------------------------------------------------------------
 
 
-def test_csv_header_names_six_columns():
-    assert CSV_HEADER == "method,noise_level,repeat,accuracy,mean_solver_iters,wall_time_ms"
+def test_csv_header_names_seven_columns():
+    assert CSV_HEADER == (
+        "method,noise_level,repeat,accuracy,mean_solver_iters,converged_share,wall_time_ms"
+    )
 
 
 def test_parse_experiment_fills_defaults():
@@ -234,6 +236,22 @@ def test_clean_separable_data_is_perfectly_classified():
     assert summary["cells"][0]["accuracy"]["mean"] == 1.0
 
 
+def test_rows_report_the_converged_share():
+    cfg = _base_config(
+        methods=[
+            {"name": "CRC"},
+            {"name": "SRC", "epsilon": 1e-5, "max_iter": 2000},
+            {"name": "SRC", "epsilon": 1e-12, "max_iter": 2},
+        ]
+    )
+    rows, _ = run_experiment(parse_experiment(cfg))
+    crc, src_done, src_cut = rows
+    assert crc["converged_share"] == 1.0  # a closed form always converges
+    assert src_done["converged_share"] == 1.0
+    assert src_cut["converged_share"] == 0.0
+    assert src_cut["mean_solver_iters"] == 2.0
+
+
 def test_failed_cell_becomes_nan_row(monkeypatch):
     def boom(dictionary, y, spec):
         raise MrarcError("synthetic failure")
@@ -242,6 +260,7 @@ def test_failed_cell_becomes_nan_row(monkeypatch):
     rows, summary = run_experiment(parse_experiment(_base_config()))
     assert len(rows) == 1
     assert math.isnan(rows[0]["accuracy"])
+    assert math.isnan(rows[0]["converged_share"])
     assert summary["errors"][0]["error"] == "synthetic failure"
     assert math.isnan(summary["cells"][0]["accuracy"]["mean"])
 
@@ -273,17 +292,18 @@ def test_format_rows_csv_layout():
             "repeat": 0,
             "accuracy": 0.875,
             "mean_solver_iters": 12.5,
+            "converged_share": 0.75,
             "wall_time_ms": 0.0,
         }
     ]
     text = format_rows_csv(rows)
-    assert text == CSV_HEADER + "\nCRC,0.1,0,0.875000,12.50,0.000\n"
+    assert text == CSV_HEADER + "\nCRC,0.1,0,0.875000,12.50,0.750000,0.000\n"
 
 
 def test_summary_aggregates_over_repeats(monkeypatch):
     rows = [
         {"method": "CRC", "noise_level": 0.0, "repeat": r, "accuracy": a,
-         "mean_solver_iters": 0.0, "wall_time_ms": 0.0}
+         "mean_solver_iters": 0.0, "converged_share": 1.0, "wall_time_ms": 0.0}
         for r, a in enumerate([0.5, 1.0, 0.75])
     ]
     summary = cli._summarize(rows, [])

@@ -34,6 +34,71 @@ def test_hq_inner_pass_solves_the_weighted_ridge_system(m, n):
 
 
 @pytest.mark.parametrize("m, n", SHAPES)
+def test_hq_inner_with_its_first_residual_given_is_bit_identical(m, n):
+    rng, X, Xt, XXt, woodbury = _problem(m, n, seed=m * 100 + n + 3)
+    y = rng.standard_normal(m)
+    y[:3] += 5.0  # a few outliers, so the weights vary
+    v = rng.standard_normal(n)
+    z0 = rng.standard_normal(n)
+    e0 = y - X @ z0
+    kept = e0.copy()
+    for passes in (1, 4):
+        args = (X, Xt, XXt, y, v, 0.1, 0.7, z0, 1e-14, passes, woodbury)
+        z_own, p_own = KERNELS.hq_inner(*args)
+        z_given, p_given = KERNELS.hq_inner(*args, e0)
+        assert p_own == p_given == passes
+        assert z_own.tobytes() == z_given.tobytes()
+    assert e0.tobytes() == kept.tobytes()
+
+
+def _shrink_inputs(rng, n, gamma):
+    # random entries plus exact zeros and entries with |z| = gamma
+    z = rng.standard_normal(n)
+    z[:3] = 0.0
+    z[3], z[4] = gamma, -gamma
+    return rng.permutation(z)
+
+
+def test_singleton_block_shrink_matches_the_gather_scatter_path():
+    # pairing each entry with a zero leaves its block norm sqrt(z^2 + 0) =
+    # |z|, so the general path over pairs in a shuffled order must give the
+    # elementwise result bit for bit
+    rng = np.random.default_rng(21)
+    n = 40
+    singletons = np.arange(n + 1, dtype=np.int64)
+    for trial in range(20):
+        gamma = float(rng.uniform(0.05, 1.0))
+        z = _shrink_inputs(rng, n, gamma)
+        order = rng.permutation(2 * n)  # entry i at order[2i], its zero at order[2i + 1]
+        padded = np.zeros(2 * n)
+        padded[order[0::2]] = z
+        pairs = np.arange(0, 2 * n + 1, 2, dtype=np.int64)
+        want = KERNELS.block_shrink(padded, order, pairs, gamma)
+        assert not np.any(want[order[1::2]])
+        for got in (KERNELS.block_shrink(z, None, singletons, gamma),
+                    KERNELS.block_shrink(z, rng.permutation(n), singletons, gamma)):
+            assert got.tobytes() == want[order[0::2]].tobytes()
+
+
+def test_identity_order_block_shrink_matches_the_gather_scatter_path():
+    rng = np.random.default_rng(22)
+    bounds = np.array([0, 3, 4, 9, 11, 12, 20], dtype=np.int64)
+    n = int(bounds[-1])
+    for trial in range(20):
+        gamma = 0.625
+        z = _shrink_inputs(rng, n, gamma)
+        z[4:9] = 0.0  # a zero block
+        z[9:11] = 0.375, -0.5  # a block whose norm is exactly gamma
+        perm = rng.permutation(n)
+        shuffled = np.empty(n)
+        shuffled[perm] = z  # shuffled[perm] is z, so block order = perm
+        want = KERNELS.block_shrink(shuffled, perm, bounds, gamma)[perm]
+        assert not np.any(want[4:11])
+        got = KERNELS.block_shrink(z, None, bounds, gamma)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m, n", SHAPES)
 def test_squared_zstep_solves_the_ridge_system(m, n):
     rng, X, Xt, _, woodbury = _problem(m, n, seed=m * 100 + n + 1)
     mu = 0.1
