@@ -8,7 +8,7 @@ included as baselines, together with synthetic data generation, noise
 injection, file IO, and a benchmark CLI.
 
 The hot numeric kernels (:mod:`mrarc.kernels`) are one numpy set whose ridge
-solves call LAPACK ``potrf``/``potrs`` directly.
+solves call LAPACK ``posv``/``potrs`` directly.
 """
 
 from . import kernels
@@ -32,7 +32,6 @@ from .classify import (
     classify,
     classify_lrc,
     classify_multimodal,
-    classify_set,
     restrict_to_class,
 )
 from .data import (
@@ -77,8 +76,6 @@ from .modal import (
     adaptive_sigma,
     default_sigma_floor,
     estimate_mode,
-    hq_weights,
-    kernel_eval,
     mrlf,
     parzen_density,
 )
@@ -103,7 +100,7 @@ __all__ = [
     "AtomicSet", "Partition", "atomic_norm", "prox",
     # modal
     "GAUSSIAN", "EPANECHNIKOV", "Kernel", "ModalLoss",
-    "kernel_eval", "mrlf", "hq_weights", "adaptive_sigma",
+    "mrlf", "adaptive_sigma",
     "default_sigma_floor", "parzen_density", "estimate_mode",
     # solver
     "SquaredLoss", "SolverConfig", "SolveHistory", "SolveResult",
@@ -112,7 +109,7 @@ __all__ = [
     # classify
     "METHODS", "UNIMODAL_METHODS", "MULTIMODAL_METHODS",
     "Dictionary", "ClassifierSpec", "ClassificationResult",
-    "classify", "classify_lrc", "classify_multimodal", "classify_set",
+    "classify", "classify_lrc", "classify_multimodal",
     "restrict_to_class",
     # data
     "CSV", "RAW", "RAW_MAGIC", "FILL_UNIFORM", "FILL_PATCH",

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NonPositiveGamma, ShapeMismatch
-from .numkit import as_vector
+from .numkit import as_matrix, as_vector
 
 SPARSE = "sparse"
 COLLABORATIVE = "collaborative"
@@ -122,6 +122,12 @@ def _check_vector_arg(aset, c):
     return c
 
 
+def _check_rows_arg(c, what):
+    if np.ndim(c) != 2:
+        raise ShapeMismatch(f"joint-rows {what} needs a 2-D array")
+    return as_matrix(c, "coefficients")
+
+
 def vector_prox_arrays(aset, n):
     """(order, bounds) arrays realizing a vector atomic set as blocks.
 
@@ -147,11 +153,7 @@ def vector_prox_arrays(aset, n):
 def atomic_norm(aset, c):
     """Value of the atomic norm of c for the given set."""
     if aset.kind == JOINT_ROWS:
-        C = np.ascontiguousarray(c, dtype=np.float64)
-        if C.ndim != 2:
-            raise ShapeMismatch("joint-rows norm needs a 2-D coefficient array")
-        if not np.all(np.isfinite(C)):
-            raise ValueError("coefficients contain NaN or Inf")
+        C = _check_rows_arg(c, "norm")
         return float(np.sqrt((C * C).sum(axis=1)).sum())
     c = _check_vector_arg(aset, c)
     if aset.kind == SPARSE:
@@ -176,12 +178,7 @@ def prox(aset, z, gamma):
     gamma = float(gamma)
     impl = kernels.active()
     if aset.kind == JOINT_ROWS:
-        Z = np.ascontiguousarray(z, dtype=np.float64)
-        if Z.ndim != 2:
-            raise ShapeMismatch("joint-rows prox needs a 2-D array")
-        if not np.all(np.isfinite(Z)):
-            raise ValueError("input contains NaN or Inf")
-        return impl.row_shrink(Z, gamma)
+        return impl.row_shrink(_check_rows_arg(z, "prox"), gamma)
     z = _check_vector_arg(aset, z)
     if z.shape[0] == 0:
         return np.zeros(0)

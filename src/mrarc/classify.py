@@ -333,25 +333,3 @@ def classify_multimodal(dictionaries, ys, spec):
         int(np.argmin(res)), res, out.coefficients, out.iterations, out.converged
     )
 
-
-def classify_set(dictionary, frames, spec):
-    """Label an image set: classify each frame, average the residual vectors."""
-    F = as_matrix(frames, "frames")
-    if F.shape[1] == 0:
-        raise EmptyQuerySet("image set has no frames")
-    if F.shape[0] != dictionary.atoms.shape[0]:
-        raise DimensionMismatch("frame length does not match dictionary rows")
-    total = np.zeros(dictionary.n_classes)
-    coeffs = []
-    iterations = 0
-    converged = True
-    for t in range(F.shape[1]):
-        r = classify(dictionary, F[:, t], spec)
-        total += r.residuals
-        coeffs.append(r.coefficients)
-        iterations += r.iterations
-        converged = converged and r.converged
-    mean_res = total / F.shape[1]
-    return ClassificationResult(
-        int(np.argmin(mean_res)), mean_res, np.column_stack(coeffs), iterations, converged
-    )

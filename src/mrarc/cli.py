@@ -179,12 +179,10 @@ def _parse_methods(cfg):
             if name.startswith("MR"):
                 sigma = _optional(mc, "sigma", (int, float), None, where)
                 min_sigma = _optional(mc, "min_sigma", (int, float), None, where)
-                if sigma is not None:
-                    loss = ModalLoss.fixed(float(sigma))
-                else:
-                    loss = ModalLoss.adaptive(
-                        float(min_sigma) if min_sigma is not None else None
-                    )
+                loss = ModalLoss(
+                    None if sigma is None else float(sigma),
+                    None if min_sigma is None else float(min_sigma),
+                )
             spec = ClassifierSpec(name, lam, loss, solver)
         except (MrarcError, ValueError, TypeError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
@@ -523,7 +521,7 @@ def _build_parser():
         prog="mrarc",
         description=(
             "Robust representation-based classification benchmarks "
-            "(numpy kernels; ridge solves through LAPACK potrf/potrs)"
+            "(numpy kernels; ridge solves through LAPACK posv/potrs)"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -42,7 +42,7 @@ class InconsistentModalities(MrarcError, ValueError):
 
 
 class EmptyQuerySet(MrarcError, ValueError):
-    """Image-set classification needs at least one frame."""
+    """A multimodal query needs at least one modality."""
 
 
 class InvalidSpec(MrarcError, ValueError):

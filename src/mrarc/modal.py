@@ -1,4 +1,4 @@
-"""Modal-regression loss, half-quadratic weights, Parzen density, mode seeking.
+"""Modal-regression loss, Parzen density and mode seeking.
 
 The loss on a residual vector e is sum_i (1 - K(e_i)) with K a unit-peak
 Gaussian exp(-e^2 / (2 sigma^2)); it is zero exactly at e = 0 and approaches
@@ -8,7 +8,7 @@ kernels so that Parzen estimates integrate to one.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,49 +44,30 @@ class Kernel:
 class ModalLoss:
     """Gaussian modal-regression loss with fixed or residual-adaptive bandwidth.
 
-    With ``adaptive_bandwidth`` the solver refreshes sigma once per outer
-    iteration from the current residual, flooring it at ``min_sigma`` (when
-    None, the solver derives a floor from the scale of y).  The kernel's own
-    sigma is the fixed bandwidth in the non-adaptive case.
+    A given ``sigma`` is the fixed bandwidth.  Without one the solver
+    refreshes sigma once per outer iteration from the current residual,
+    flooring it at ``min_sigma`` (when None, the solver derives a floor from
+    the scale of y); a floor has no meaning beside a fixed sigma.
     """
 
-    kernel: Kernel = Kernel(GAUSSIAN, 1.0)
-    adaptive_bandwidth: bool = False
+    sigma: float | None = None
     min_sigma: float | None = None
 
     def __post_init__(self):
-        if self.kernel.kind != GAUSSIAN:
-            raise UnsupportedKernel(
-                "modal loss requires the Gaussian kernel; the Epanechnikov "
-                "kernel has no half-quadratic weight function here"
-            )
+        if self.sigma is not None:
+            check_positive(self.sigma, "sigma")
         if self.min_sigma is not None:
             check_positive(self.min_sigma, "min_sigma")
+            if self.sigma is not None:
+                raise ValueError("a fixed sigma takes no min_sigma")
 
     @classmethod
     def fixed(cls, sigma):
-        return cls(Kernel.gaussian(sigma))
+        return cls(float(sigma))
 
     @classmethod
     def adaptive(cls, min_sigma=None):
-        return cls(Kernel.gaussian(1.0), True, min_sigma)
-
-    def resolve_sigma(self, e):
-        """Bandwidth this loss would use on residual vector e."""
-        if not self.adaptive_bandwidth:
-            return self.kernel.sigma
-        floor = self.min_sigma if self.min_sigma is not None else 1e-12
-        return adaptive_sigma(e, floor)
-
-
-def kernel_eval(kernel, e):
-    """Pointwise kernel value: unit-peak Gaussian or (3/4)(1 - e^2)+."""
-    e = np.asarray(e, dtype=np.float64)
-    if kernel.kind == GAUSSIAN:
-        out = np.exp(-(e * e) / (2.0 * kernel.sigma * kernel.sigma))
-    else:
-        out = 0.75 * np.maximum(1.0 - e * e, 0.0)
-    return float(out) if out.ndim == 0 else out
+        return cls(None, min_sigma)
 
 
 def _density_eval(kernel, u):
@@ -97,42 +78,17 @@ def _density_eval(kernel, u):
     return 0.75 * np.maximum(1.0 - u * u, 0.0)
 
 
-def _loss_kernel(loss, e, sigma):
-    if isinstance(loss, Kernel):
-        return loss if sigma is None else replace(loss, sigma=float(sigma))
-    if sigma is None:
-        sigma = loss.resolve_sigma(e)
-    return Kernel.gaussian(sigma)
-
-
 def _mrlf_raw(e, sigma, axis=None):
     # unvalidated Gaussian loss value (per column with axis=0), shared with the
     # solver's hot loop and the class scoring
     return (1.0 - np.exp(-(e * e) / (2.0 * sigma * sigma))).sum(axis=axis)
 
 
-def mrlf(loss, e, sigma=None):
-    """Modal-regression loss sum_i (1 - K(e_i)).
-
-    ``loss`` is a ModalLoss or a bare Kernel; an explicit ``sigma`` overrides
-    the bandwidth either would use.
-    """
+def mrlf(e, sigma):
+    """Modal-regression loss sum_i (1 - exp(-e_i^2 / (2 sigma^2))) of residual e."""
     e = as_vector(e, "residual")
-    k = _loss_kernel(loss, e, sigma)
-    return float(np.sum(1.0 - kernel_eval(k, e)))
-
-
-def hq_weights(loss, e, sigma=None):
-    """Half-quadratic weights exp(-e^2 / (2 sigma^2)), elementwise in (0, 1].
-
-    These equal the Gaussian kernel values at the residuals; the weighted
-    ridge step of the solver uses them scaled by 1/sigma^2.
-    """
-    e = as_vector(e, "residual")
-    k = _loss_kernel(loss, e, sigma)
-    if k.kind != GAUSSIAN:
-        raise UnsupportedKernel("half-quadratic weights exist only for the Gaussian kernel")
-    return kernel_eval(k, e)
+    check_positive(sigma, "sigma")
+    return float(_mrlf_raw(e, sigma))
 
 
 def adaptive_sigma(e, min_sigma):

@@ -164,7 +164,7 @@ def _modal_admm(pairs, aset, cfg):
     wb = [X.shape[0] < n for X, _ in pairs]
     XXts = [X @ Xt if w else np.zeros((0, 0)) for (X, _), Xt, w in zip(pairs, Xts, wb)]
     floors = None
-    if loss.adaptive_bandwidth:
+    if loss.sigma is None:
         if any(y.size == 0 for _, y in pairs):
             raise EmptyInput("adaptive bandwidth needs at least one residual")
         floors = [
@@ -180,7 +180,7 @@ def _modal_admm(pairs, aset, cfg):
         )
         return z
 
-    sigma = [loss.kernel.sigma] * len(pairs)
+    sigma = [loss.sigma] * len(pairs)
     return _admm(pairs, aset, cfg, impl, zstep, sigma, floors)
 
 

@@ -111,6 +111,21 @@ def lasso_objective(X, y, c, lam):
     return float(r @ r) + lam * float(np.sum(np.abs(c)))
 
 
+def lasso_duality_gap(X, y, c, lam):
+    """Upper bound on lasso_objective(c) - min_c' lasso_objective(c').
+
+    The dual of min ||y - Xc||^2 + lam ||c||_1 is max theta^T y - ||theta||^2/4
+    over ||X^T theta||_inf <= lam.  The point theta = 2 (y - Xc), scaled into
+    that box, is dual feasible, so the primal-dual difference at it bounds the
+    suboptimality of c from above.
+    """
+    theta = 2.0 * (y - X @ c)
+    top = float(np.max(np.abs(X.T @ theta)))
+    if top > lam:
+        theta *= lam / top
+    return lasso_objective(X, y, c, lam) - (float(theta @ y) - float(theta @ theta) / 4.0)
+
+
 def modal_scalar_min(target, lam, sigma, span=None):
     """Global minimizer of (1 - exp(-(target-c)^2/(2 sigma^2))) + lam |c|.
 

@@ -1,10 +1,11 @@
 """End-to-end acceptance checks: one test per release criterion.
 
 Each test pins a user-visible guarantee — prox operators against line-search
-oracles, the squared-loss solver against ISTA, half-quadratic monotonicity,
-the solver exit contract, mode estimation on a contaminated mixture, the
-robustness trend under impulsive corruption, joint-sparsity structure,
-degeneracy identities between methods, and byte-level benchmark determinism.
+oracles, the squared-loss solver against a lasso duality gap, half-quadratic
+monotonicity, the solver exit contract, mode estimation on a contaminated
+mixture, the robustness trend under impulsive corruption, joint-sparsity
+structure, degeneracy identities between methods, and byte-level benchmark
+determinism.
 Every test also enforces its wall-clock budget.
 """
 
@@ -30,8 +31,7 @@ from mrarc.solver import (
 )
 
 from _oracles import (
-    ista_lasso,
-    lasso_objective,
+    lasso_duality_gap,
     prox_l1_scalar,
     prox_l2_vector,
 )
@@ -80,10 +80,11 @@ def test_criterion_1_prox_operators_match_line_search_oracles():
     assert time.perf_counter() - t0 < 5.0
 
 
-@pytest.mark.slow
 def test_criterion_2_squared_admm_matches_ista_on_lasso():
     # 50 random instances (m=10, n=20) at lam in {0.01, 0.1, 1}: the ADMM
-    # objective never exceeds the ISTA objective by more than 1e-4
+    # objective is within 1e-4 of the lasso optimum, certified by a duality
+    # gap (no looser than a comparison with ISTA's objective, which cannot
+    # lie below the optimum; tests/test_solver.py keeps ISTA as a reference)
     t0 = time.perf_counter()
     rng = np.random.default_rng(2)
     for trial in range(50):
@@ -94,11 +95,7 @@ def test_criterion_2_squared_admm_matches_ista_on_lasso():
                 X, y, AtomicSet.sparse(),
                 SolverConfig(lam=lam, epsilon=1e-9, max_iter=200_000),
             )
-            c_ref = ista_lasso(X, y, lam)
-            gap = lasso_objective(X, y, out.coefficients, lam) - lasso_objective(
-                X, y, c_ref, lam
-            )
-            assert gap <= 1e-4
+            assert lasso_duality_gap(X, y, out.coefficients, lam) <= 1e-4
     assert time.perf_counter() - t0 < 30.0
 
 
@@ -115,14 +112,13 @@ def test_criterion_3_hq_passes_never_increase_subproblem_objective():
         v = rng.standard_normal(n)
         sigma = float(rng.uniform(0.3, 2.0))
         mu = float(rng.uniform(0.05, 1.0))
-        loss = ModalLoss.fixed(sigma)
         Xt = np.ascontiguousarray(X.T)
         woodbury = m < n
         XXt = X @ Xt if woodbury else np.zeros((0, 0))
         z = np.zeros(n)
 
         def g(z):
-            return mrlf(loss, y - X @ z) + 0.5 * mu * float((z - v) @ (z - v))
+            return mrlf(y - X @ z, sigma) + 0.5 * mu * float((z - v) @ (z - v))
 
         prev = g(z)
         for _ in range(10):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mrarc.atomic import AtomicSet, Partition, atomic_norm, prox, vector_prox_arrays
-from mrarc.errors import DimensionMismatch, NonPositiveGamma, ShapeMismatch
+from mrarc.errors import DimensionMismatch, NonFiniteInput, NonPositiveGamma, ShapeMismatch
 
 from _oracles import prox_l1_scalar, prox_l2_vector
 
@@ -211,6 +211,16 @@ def test_prox_shape_errors():
         prox(AtomicSet.joint_rows(), np.ones(3), 0.1)
     with pytest.raises((ShapeMismatch, DimensionMismatch)):
         prox(AtomicSet.sparse(), np.ones((3, 2)), 0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_joint_rows_reject_non_finite_input(bad):
+    # the same library error as the vector atomic sets raise
+    Z = np.array([[bad, 1.0], [0.5, 2.0]])
+    with pytest.raises(NonFiniteInput):
+        prox(AtomicSet.joint_rows(), Z, 0.1)
+    with pytest.raises(NonFiniteInput):
+        atomic_norm(AtomicSet.joint_rows(), Z)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from mrarc.classify import (
     classify,
     classify_lrc,
     classify_multimodal,
-    classify_set,
     restrict_to_class,
 )
 from mrarc.errors import (
@@ -500,52 +499,6 @@ def test_multimodal_validates_consistency():
         classify_multimodal([d, other], [y, np.ones(3)], spec)
     with pytest.raises(ValueError):
         classify_multimodal([d], [y], ClassifierSpec("MRSRC", solver=FAST))
-
-
-# ---------------------------------------------------------------------------
-# image-set classification
-# ---------------------------------------------------------------------------
-
-
-def test_classify_set_single_frame_equals_classify():
-    rng = np.random.default_rng(18)
-    d = _orthogonal_subspace_dictionary(rng)
-    y = _query_in_class(rng, d, 0)
-    spec = ClassifierSpec("MRSRC", lam=1e-3, solver=FAST)
-    single = classify(d, y, spec)
-    batched = classify_set(d, y[:, None], spec)
-    assert batched.label == single.label
-    np.testing.assert_allclose(batched.residuals, single.residuals, rtol=0, atol=1e-12)
-
-
-def test_classify_set_identical_frames_match_single_frame():
-    rng = np.random.default_rng(19)
-    d = _orthogonal_subspace_dictionary(rng)
-    y = _query_in_class(rng, d, 2)
-    spec = ClassifierSpec("SRC", lam=1e-3, solver=FAST)
-    frames = np.column_stack([y, y, y])
-    batched = classify_set(d, frames, spec)
-    single = classify(d, y, spec)
-    assert batched.label == single.label
-    np.testing.assert_allclose(batched.residuals, single.residuals, rtol=0, atol=1e-12)
-    assert batched.coefficients.shape == (d.n_atoms, 3)
-
-
-def test_classify_set_outvotes_corrupted_frames():
-    rng = np.random.default_rng(20)
-    d = _orthogonal_subspace_dictionary(rng, n_classes=3, block=4, per_class=6)
-    frames = np.column_stack([
-        _query_in_class(rng, d, 1) for _ in range(9)
-    ] + [rng.standard_normal(d.atoms.shape[0]) * 3.0])
-    res = classify_set(d, frames, ClassifierSpec("MRSRC", lam=1e-3, solver=FAST))
-    assert res.label == 1
-
-
-def test_classify_set_rejects_empty():
-    rng = np.random.default_rng(21)
-    d = _orthogonal_subspace_dictionary(rng)
-    with pytest.raises(EmptyQuerySet):
-        classify_set(d, np.zeros((d.atoms.shape[0], 0)), ClassifierSpec("SRC"))
 
 
 def test_method_rosters():

@@ -156,14 +156,23 @@ def test_modal_method_bandwidth_options():
         _base_config(methods=[{"name": "MRSRC", "sigma": 0.5}])
     )
     loss = spec.methods[0].loss
-    assert loss.adaptive_bandwidth is False
-    assert loss.kernel.sigma == 0.5
+    assert loss.sigma == 0.5
+    assert loss.min_sigma is None
     spec = parse_experiment(
         _base_config(methods=[{"name": "MRSRC", "min_sigma": 0.01}])
     )
     loss = spec.methods[0].loss
-    assert loss.adaptive_bandwidth is True
+    assert loss.sigma is None
     assert loss.min_sigma == 0.01
+
+
+def test_modal_method_rejects_fixed_sigma_with_a_floor():
+    # a floor only bounds an adaptive bandwidth; it must not be dropped silently
+    cfg = _base_config(methods=[
+        {"name": "SRC"}, {"name": "MRSRC", "sigma": 0.5, "min_sigma": 0.01},
+    ])
+    with pytest.raises(ConfigError, match=r"methods\[1\].*min_sigma"):
+        parse_experiment(cfg)
 
 
 def test_load_experiment_missing_file_names_path(tmp_path):

@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from mrarc.errors import EmptyInput, UnsupportedKernel
+from mrarc.errors import EmptyInput, NonFiniteInput, UnsupportedKernel
 from mrarc.modal import (
     Kernel,
     ModalLoss,
     adaptive_sigma,
     default_sigma_floor,
     estimate_mode,
-    hq_weights,
-    kernel_eval,
     mrlf,
     parzen_density,
 )
@@ -23,27 +21,29 @@ from mrarc.modal import (
 
 
 def test_gaussian_kernel_values():
-    k = Kernel.gaussian(1.0)
-    assert kernel_eval(k, 0.0) == 1.0
-    assert kernel_eval(Kernel.gaussian(2.0), 2.0) == pytest.approx(
-        math.exp(-0.5)
-    )
-    assert kernel_eval(k, 1.0) == pytest.approx(math.exp(-0.5))
+    # one residual e costs 1 - exp(-e^2 / (2 sigma^2))
+    assert mrlf(np.array([0.0]), 1.0) == 0.0
+    assert mrlf(np.array([2.0]), 2.0) == pytest.approx(1.0 - math.exp(-0.5))
+    assert mrlf(np.array([1.0]), 1.0) == pytest.approx(1.0 - math.exp(-0.5))
 
 
 def test_epanechnikov_kernel_values():
-    k = Kernel.epanechnikov()
-    assert kernel_eval(k, 0.0) == pytest.approx(0.75)
-    assert kernel_eval(k, 1.0) == 0.0
-    assert kernel_eval(k, 2.0) == 0.0
-    assert kernel_eval(k, 0.5) == pytest.approx(0.75 * 0.75)
+    # with one sample at 0 the density is the kernel itself, (3/4)(1 - t^2)+
+    k, at_zero = Kernel.epanechnikov(), np.array([0.0])
+    assert parzen_density(k, at_zero, 0.0) == pytest.approx(0.75)
+    assert parzen_density(k, at_zero, 1.0) == 0.0
+    assert parzen_density(k, at_zero, 2.0) == 0.0
+    assert parzen_density(k, at_zero, 0.5) == pytest.approx(0.75 * 0.75)
 
 
 def test_kernels_are_even():
     rng = np.random.default_rng(0)
     for k in (Kernel.gaussian(0.7), Kernel.epanechnikov()):
         e = rng.standard_normal(50) * 2.0
-        np.testing.assert_array_equal(kernel_eval(k, e), kernel_eval(k, -e))
+        at_zero = np.array([0.0])
+        np.testing.assert_array_equal(
+            parzen_density(k, at_zero, e), parzen_density(k, at_zero, -e)
+        )
 
 
 def test_kernel_validation():
@@ -55,9 +55,17 @@ def test_kernel_validation():
         Kernel.gaussian(-1.0)
 
 
-def test_modal_loss_rejects_epanechnikov():
-    with pytest.raises(UnsupportedKernel):
-        ModalLoss(Kernel.epanechnikov())
+def test_modal_loss_is_fixed_or_adaptive():
+    assert ModalLoss.fixed(2) == ModalLoss(2.0, None)
+    assert ModalLoss.adaptive() == ModalLoss() == ModalLoss(None, None)
+    assert ModalLoss.adaptive(0.01) == ModalLoss(None, 0.01)
+    with pytest.raises(ValueError, match="min_sigma"):
+        ModalLoss(0.5, 0.01)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ModalLoss.fixed(bad)
+        with pytest.raises(ValueError):
+            ModalLoss.adaptive(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -66,88 +74,57 @@ def test_modal_loss_rejects_epanechnikov():
 
 
 def test_mrlf_zero_at_zero_residual():
-    loss = ModalLoss.fixed(0.8)
-    assert mrlf(loss, np.zeros(9)) == 0.0
+    assert mrlf(np.zeros(9), 0.8) == 0.0
 
 
 def test_mrlf_half_at_half_width():
     sigma = 1.3
     e = np.array([sigma * math.sqrt(2.0 * math.log(2.0))])
-    assert mrlf(ModalLoss.fixed(sigma), e) == pytest.approx(0.5)
+    assert mrlf(e, sigma) == pytest.approx(0.5)
 
 
 def test_mrlf_positive_unless_zero_and_bounded():
     rng = np.random.default_rng(1)
-    loss = ModalLoss.fixed(1.0)
     for trial in range(30):
         e = rng.standard_normal(7) * rng.uniform(0.1, 10.0)
-        v = mrlf(loss, e)
+        v = mrlf(e, 1.0)
         assert 0.0 < v < 7.0
-    assert mrlf(loss, np.zeros(7)) == 0.0
+    assert mrlf(np.zeros(7), 1.0) == 0.0
+
+
+def test_mrlf_validates_its_arguments():
+    with pytest.raises(ValueError):
+        mrlf(np.ones(3), 0.0)
+    with pytest.raises(NonFiniteInput):
+        mrlf(np.array([1.0, np.nan]), 1.0)
 
 
 def test_mrlf_matches_density_identity():
-    # sum_i (1 - K(e_i)) = m (1 - parzen(0)) whenever the loss kernel equals
-    # the area-normalized density kernel
+    # sum_i (1 - K(e_i)) = m (1 - parzen(0)) when the unit-peak loss kernel
+    # equals the area-normalized density kernel, i.e. sigma = 1/sqrt(2 pi)
     rng = np.random.default_rng(2)
     e = rng.standard_normal(7)
-    epan = Kernel.epanechnikov()
-    lhs = mrlf(epan, e)
-    rhs = 7.0 * (1.0 - parzen_density(epan, e, 0.0))
-    assert lhs == pytest.approx(rhs, abs=1e-12)
-    gauss = Kernel.gaussian(1.0 / math.sqrt(2.0 * math.pi))
-    assert mrlf(gauss, e) == pytest.approx(
-        7.0 * (1.0 - parzen_density(gauss, e, 0.0)), abs=1e-12
+    sigma = 1.0 / math.sqrt(2.0 * math.pi)
+    assert mrlf(e, sigma) == pytest.approx(
+        7.0 * (1.0 - parzen_density(Kernel.gaussian(sigma), e, 0.0)), abs=1e-12
     )
-
-
-def test_mrlf_sigma_override():
-    e = np.array([1.0, -2.0])
-    assert mrlf(ModalLoss.fixed(1.0), e, sigma=2.0) == pytest.approx(
-        mrlf(ModalLoss.fixed(2.0), e)
-    )
-
-
-# ---------------------------------------------------------------------------
-# half-quadratic weights
-# ---------------------------------------------------------------------------
-
-
-def test_hq_weights_formula_and_range():
-    loss = ModalLoss.fixed(1.0)
-    w = hq_weights(loss, np.array([0.0, 10.0]))
-    assert w[0] == 1.0
-    assert w[1] == pytest.approx(math.exp(-50.0))
-    rng = np.random.default_rng(3)
-    for trial in range(20):
-        e = rng.standard_normal(9) * rng.uniform(0.1, 5.0)
-        w = hq_weights(loss, e)
-        assert np.all(w > 0.0) and np.all(w <= 1.0)
-        np.testing.assert_array_equal(w, kernel_eval(loss.kernel, e))
-
-
-def test_hq_weights_monotone_in_magnitude():
-    loss = ModalLoss.fixed(0.9)
-    e = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
-    w = hq_weights(loss, e)
-    assert np.all(np.diff(w) < 0.0)
 
 
 def test_hq_surrogate_tightness():
     # For any weights w in (0,1], the half-quadratic surrogate
     #   sum_i [w_i e_i^2/(2 s^2) + 1 - w_i + w_i log w_i]
-    # dominates the loss, with equality exactly at w = hq_weights(e).
+    # dominates the loss, with equality exactly at the half-quadratic
+    # weights w_i = exp(-e_i^2 / (2 s^2)).
     rng = np.random.default_rng(4)
     sigma = 0.8
-    loss = ModalLoss.fixed(sigma)
     e = rng.standard_normal(12) * 1.5
-    base = mrlf(loss, e)
+    base = mrlf(e, sigma)
 
     def surrogate(w):
         quad = w * (e * e) / (2.0 * sigma * sigma)
         return float(np.sum(quad + 1.0 - w + w * np.log(w)))
 
-    w_star = hq_weights(loss, e)
+    w_star = np.exp(-(e * e) / (2.0 * sigma * sigma))
     assert surrogate(w_star) == pytest.approx(base, abs=1e-10)
     for trial in range(1000):
         w = rng.uniform(1e-6, 1.0, 12)

@@ -179,14 +179,13 @@ def test_hq_inner_loop_is_monotone_at_fixed_sigma():
         v = rng.standard_normal(n)
         sigma = float(rng.uniform(0.3, 2.0))
         mu = 0.1
-        loss = ModalLoss.fixed(sigma)
         Xt = np.ascontiguousarray(X.T)
         woodbury = m < n
         XXt = X @ Xt if woodbury else np.zeros((0, 0))
         z = np.zeros(n)
 
         def g(z):
-            return mrlf(loss, y - X @ z) + 0.5 * mu * float((z - v) @ (z - v))
+            return mrlf(y - X @ z, sigma) + 0.5 * mu * float((z - v) @ (z - v))
 
         prev = g(z)
         for _ in range(12):
