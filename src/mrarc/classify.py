@@ -3,8 +3,9 @@
 A query is coded over the whole dictionary, the code is restricted to one
 class at a time, and the class whose restricted reconstruction leaves the
 smallest residual wins.  Methods with the MR prefix measure that residual
-with the modal-regression loss at the bandwidth the solver ended on; the
-squared-loss baselines use the l2 norm.  Ties break toward the lowest label.
+with the modal-regression loss at the bandwidth the solver ended on, which
+the result reports as ``sigma``; the squared-loss baselines use the l2 norm.
+Ties break toward the lowest label.
 
 A ``Dictionary`` keeps read-only copies of its arrays and the plans that
 depend only on them, each built on its first use and kept: the class layout
@@ -180,11 +181,19 @@ class ClassifierSpec:
 
 @dataclass(frozen=True)
 class ClassificationResult:
+    """The label, the per-class residuals and the solve behind them.
+
+    ``sigma`` is the bandwidth the classes were scored with: the solver's
+    final bandwidth (a float, or one per modality for MRJSRC) for the MR
+    methods, None for the squared-loss and closed-form ones.
+    """
+
     label: int
     residuals: np.ndarray
     coefficients: np.ndarray
     iterations: int = 0
     converged: bool = True
+    sigma: float | np.ndarray | None = None
 
 
 def restrict_to_class(c, dictionary, k):
@@ -265,12 +274,11 @@ def classify(dictionary, y, spec):
     aset = _atomic_set(spec, dictionary)
     if isinstance(loss, ModalLoss):
         out = solve_mrar(dictionary.atoms, y, aset, cfg)
-        res = _class_residuals(dictionary, y, out.coefficients, out.sigma)
     else:
         out = solve_ar_squared(dictionary.atoms, y, aset, cfg)
-        res = _class_residuals(dictionary, y, out.coefficients, None)
+    res = _class_residuals(dictionary, y, out.coefficients, out.sigma)
     return ClassificationResult(
-        int(np.argmin(res)), res, out.coefficients, out.iterations, out.converged
+        int(np.argmin(res)), res, out.coefficients, out.iterations, out.converged, out.sigma
     )
 
 
@@ -321,15 +329,13 @@ def classify_multimodal(dictionaries, ys, spec):
     Xs = [d.atoms for d in dictionaries]
     if isinstance(loss, ModalLoss):
         out = solve_mrar_multimodal(Xs, ys, aset, cfg)
-        sigmas = out.sigma
     else:
         out = solve_ar_squared_multimodal(Xs, ys, aset, cfg)
-        sigmas = None
     res = np.zeros(first.n_classes)
     for j, (d, y) in enumerate(zip(dictionaries, ys)):
-        s_j = float(sigmas[j]) if sigmas is not None else None
+        s_j = None if out.sigma is None else float(out.sigma[j])
         res += _class_residuals(d, y, out.coefficients[:, j], s_j)
     return ClassificationResult(
-        int(np.argmin(res)), res, out.coefficients, out.iterations, out.converged
+        int(np.argmin(res)), res, out.coefficients, out.iterations, out.converged, out.sigma
     )
 

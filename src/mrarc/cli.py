@@ -49,6 +49,9 @@ CSV_HEADER = (
     "method,noise_level,repeat,accuracy,mean_solver_iters,converged_share,wall_time_ms"
 )
 
+_METHOD_FIELDS = ("name", "lam", "mu", "epsilon", "max_iter", "hq_inner_tol", "hq_inner_max")
+_MODAL_FIELDS = ("sigma", "min_sigma")  # accepted on MR methods only
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -163,6 +166,12 @@ def _parse_methods(cfg):
                 f"{where}: method {name!r} needs multimodal data and is not "
                 "available through the benchmark runner"
             )
+        modal = name.startswith("MR")
+        for key in mc:
+            if key in _MODAL_FIELDS and not modal:
+                raise ConfigError(f"{where}: field '{key}' applies only to MR methods")
+            if key not in _METHOD_FIELDS and key not in _MODAL_FIELDS:
+                raise ConfigError(f"{where}: unknown field '{key}'")
         lam = float(_optional(mc, "lam", (int, float), 1e-3, where))
         try:
             solver = SolverConfig(
@@ -176,7 +185,7 @@ def _parse_methods(cfg):
                 hq_inner_max=int(_optional(mc, "hq_inner_max", int, 10, where)),
             )
             loss = None
-            if name.startswith("MR"):
+            if modal:
                 sigma = _optional(mc, "sigma", (int, float), None, where)
                 min_sigma = _optional(mc, "min_sigma", (int, float), None, where)
                 loss = ModalLoss(

@@ -16,6 +16,19 @@ hand, and no objective.  The residual y - X z behind an adaptive bandwidth
 is handed on to the first half-quadratic pass, and whether the shrink's
 block layout is in identity order is settled once per solve.
 
+The modal solves add restarted Nesterov momentum on z and the dual
+(Goldstein, O'Donoghue, Setzer and Baraniuk, "Fast Alternating Direction
+Optimization Methods", SIAM J. Imaging Sci. 2014, Algorithm 8).  Each
+iteration steps from an extrapolated point, and the momentum restarts from
+the previous iterate whenever the combined residual
+||dual - dual_hat||^2 / mu + mu ||z - z_hat||^2 fails to fall by the factor
+``_RESTART_ETA``.  On wide galleries this cuts the block solves from
+about 230 iterations to about 20.  The squared-loss solves keep plain ADMM,
+iterate for iterate.  Momentum made a tight-tolerance lasso (epsilon 1e-9)
+slower, and the squared-loss methods are the benchmark's control for changes
+to the modal loop: their unchanged iterates show that such a change moves
+the modal methods only.
+
 Systems with more atoms than observations are solved through the m x m dual
 form of the ridge system (precomputed X X^T), which keeps the per-iteration
 cost at O(m^2 n) instead of O(n^2 m).
@@ -32,6 +45,10 @@ from .atomic import JOINT_ROWS, vector_prox_arrays
 from .errors import DimensionMismatch, EmptyInput, NotSPD, ShapeMismatch
 from .modal import ModalLoss, default_sigma_floor
 from .numkit import as_matrix, as_vector, check_positive
+
+# Restart threshold of the accelerated modal loop: the momentum restarts when
+# the combined residual fails to fall to this share of its last value.
+_RESTART_ETA = 0.9
 
 
 @dataclass(frozen=True)
@@ -96,58 +113,101 @@ def _check_problem(X, y):
     return X, y
 
 
-def _admm(pairs, aset, cfg, impl, zstep, sigma, floors=None):
+def _admm(pairs, aset, cfg, impl, zstep, sigma, floors=None, eta=None):
     """The c = z ADMM loop shared by the four iterative solvers.
 
     The coefficients form an n x V matrix, one column per modality (X_j, y_j)
     of ``pairs``; the unimodal solvers are the case V = 1.  Each iteration
-    refreshes the bandwidths ``sigma`` (one per column) from the residuals
-    e_j = y_j - X_j z_j when ``floors`` is given, takes the atomic prox of
-    z - u, runs the loss's ``zstep(j, c_j, u_j, dual_j, z_j, sigma_j, e_j)``
-    on every column (e_j is None without a refresh), and updates the
-    unscaled dual; u = dual / mu.
+    steps from a point (Z_hat, dual_hat): it refreshes the bandwidths
+    ``sigma`` (one per column) from the residuals e_j = y_j - X_j z_hat_j
+    when ``floors`` is given, takes the atomic prox of Z_hat - u, runs the
+    loss's ``zstep(j, c_j, u_j, dual_j, z_j, sigma_j, e_j)`` on every column
+    with u = dual_hat / mu, the dual and the warm start z_j taken at the
+    point (e_j is None without a refresh), and updates the unscaled dual.
+
+    Without ``eta`` the point is the iterate (Z, dual) itself: plain ADMM.
+    With ``eta`` it carries restarted Nesterov momentum (Goldstein et al.,
+    SIAM J. Imaging Sci. 2014, Algorithm 8).  While the combined residual
+    ||dual - dual_hat||^2 / mu + mu ||Z - Z_hat||^2 falls by the factor
+    eta, the point extrapolates both Z and the dual along their last step;
+    otherwise the momentum restarts from the previous iterate.
+
+    With an exact z-step the new dual is the loss gradient at Z, so the
+    returned C meets -grad f(C) in lam dN(C) up to
+    L ||Z - C||_inf + mu ||Z - Z_hat||_inf, L bounding the inf-norm of the
+    loss Hessian.  Without momentum Z_hat is the previous Z; with it the
+    second term is the extrapolation's own share.
     """
     n, nmod = pairs[0][0].shape[1], len(pairs)
     mu, lam, eps = cfg.mu, cfg.lam, cfg.epsilon
     max_iter = int(cfg.max_iter)
     gamma = lam / mu
     if aset.kind == JOINT_ROWS:
-        def shrink(W):
-            return impl.row_shrink(W, gamma)
+        def shrink(w):
+            return impl.row_shrink(w.reshape(n, nmod), gamma).ravel()
     else:
         order, bounds = vector_prox_arrays(aset, n)
 
-        def shrink(W):
-            return impl.block_shrink(W[:, 0], order, bounds, gamma)[:, None]
+        def shrink(w):
+            return impl.block_shrink(w, order, bounds, gamma)
 
-    C = np.zeros((n, nmod))
-    Z = np.zeros((n, nmod))
-    dual = np.zeros((n, nmod))
+    # every n x V matrix is held flat, row-major, so that the elementwise
+    # updates run over plain vectors; column j is the slice j::V.  The
+    # iterate (Z, dual) is one 2 x nV buffer, and so is the point stepped from.
+    cols = [slice(j, None, nmod) for j in range(nmod)]
+    S = np.zeros((2, n * nmod))
+    S_hat = S
+    if eta is not None:
+        S_hat, S_prev = np.zeros_like(S), np.zeros_like(S)
+        alpha, c_last = 1.0, math.inf
+    C = np.zeros(n * nmod)
     resid = [None] * nmod
     hist = np.empty((3, max_iter))
     converged = False
     iterations = max_iter
     for i in range(max_iter):
+        z_hat, dual_hat = S_hat[0], S_hat[1]
         if floors is not None:
             for j, (X, y) in enumerate(pairs):
-                r = resid[j] = y - X @ Z[:, j]
+                r = resid[j] = y - X @ z_hat[cols[j]]
                 sigma[j] = max(floors[j], math.sqrt(float(r @ r) / (2.0 * r.size)))
-        u = dual / mu
+        u = dual_hat / mu
         C_prev = C
-        C = shrink(Z - u)
-        for j in range(nmod):
-            Z[:, j] = zstep(j, C[:, j], u[:, j], dual[:, j], Z[:, j], sigma[j], resid[j])
-        D = C - Z
-        dual += mu * D
+        C = shrink(z_hat - u)
+        if eta is not None:  # the new iterate overwrites the one before last
+            S, S_prev = S_prev, S
+        z, dual = S[0], S[1]
+        for j, cj in enumerate(cols):
+            z[cj] = zstep(j, C[cj], u[cj], dual_hat[cj], z_hat[cj], sigma[j], resid[j])
+        D = C - z
         gap = float(np.abs(D).max())
         step = float(np.abs(C - C_prev).max())
         hist[:, i] = gap, step, max(sigma)
+        if eta is None:
+            dual += mu * D
+        else:
+            np.multiply(D, mu, out=dual)
+            dual += dual_hat
         if gap < eps and step < eps:
             converged = True
             iterations = i + 1
             break
+        if eta is None:
+            continue
+        dz = z - z_hat
+        c_now = mu * (dz.dot(dz) + D.dot(D))  # dual - dual_hat is mu D
+        if c_now < eta * c_last:
+            alpha_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * alpha * alpha))
+            beta = (alpha - 1.0) / alpha_next
+            alpha, c_last = alpha_next, c_now
+            np.subtract(S, S_prev, out=S_hat)
+            S_hat *= beta
+            S_hat += S
+        else:
+            alpha, c_last = 1.0, c_last / eta
+            np.copyto(S_hat, S_prev)
     history = SolveHistory(*(h[:iterations].copy() for h in hist))
-    return SolveResult(C, converged, iterations, history, np.array(sigma))
+    return SolveResult(C.reshape(n, nmod), converged, iterations, history, np.array(sigma))
 
 
 def _one_column(out, sigma):
@@ -181,7 +241,7 @@ def _modal_admm(pairs, aset, cfg):
         return z
 
     sigma = [loss.sigma] * len(pairs)
-    return _admm(pairs, aset, cfg, impl, zstep, sigma, floors)
+    return _admm(pairs, aset, cfg, impl, zstep, sigma, floors, _RESTART_ETA)
 
 
 def _squared_prefactor(X, Xt, mu, woodbury):

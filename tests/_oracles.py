@@ -187,3 +187,52 @@ def group_lasso_kkt_violation(X, y, c, lam, blocks, zero_tol=1e-8):
         else:
             worst = max(worst, max(0.0, float(np.linalg.norm(gb)) - lam))
     return worst
+
+
+def class_residuals(atoms, class_of, y, c, sigma=None):
+    """Residual of y against each class's share of the code c, class by class.
+
+    The l2 norm of y - A_k c_k, or with ``sigma`` the modal loss
+    sum_i 1 - exp(-r_i^2 / (2 sigma^2)) of that residual r.
+    """
+    labels = np.asarray(class_of)
+    out = []
+    for k in range(int(labels.max()) + 1):
+        cols = np.flatnonzero(labels == k)
+        r = y - atoms[:, cols] @ c[cols]
+        if sigma is None:
+            out.append(np.linalg.norm(r))
+        else:
+            out.append(np.sum(1.0 - np.exp(-(r * r) / (2.0 * sigma * sigma))))
+    return np.array(out)
+
+
+def modal_gradient(X, y, c, sigma):
+    """Gradient in c of sum_i 1 - exp(-e_i^2 / (2 sigma^2)), e = y - Xc."""
+    e = y - X @ c
+    return -(X.T @ (e * np.exp(-(e * e) / (2.0 * sigma * sigma)))) / (sigma * sigma)
+
+
+def group_subgradient_gap(C, G, lam, groups):
+    """inf-norm residual of -G in lam times the subdifferential of sum_g ||C_g||.
+
+    C and G are n x V matrices and each group is a list of rows, whose
+    entries over all columns form one l2 group: every row alone is the l1
+    norm (V = 1) or the joint-rows norm, class blocks the group norm, and all
+    rows at once the l2 norm.  On a group with C_g != 0 the subdifferential
+    is the point C_g / ||C_g||.  On a zero group it is the unit ball, and the
+    residual is that of the projection of -G_g onto lam times it, which is
+    no smaller than the distance.
+    """
+    worst = 0.0
+    for g in groups:
+        cg = C[list(g)]
+        gg = G[list(g)]
+        nrm = np.sqrt(np.sum(cg * cg))
+        if nrm > 0.0:
+            worst = max(worst, float(np.max(np.abs(gg + lam * cg / nrm))))
+        else:
+            gnrm = np.sqrt(np.sum(gg * gg))
+            if gnrm > lam:
+                worst = max(worst, float((1.0 - lam / gnrm) * np.max(np.abs(gg))))
+    return worst

@@ -313,7 +313,6 @@ def test_criterion_8_degeneracy_identities_hold():
             assert abs(res.residuals[k] - np.linalg.norm(y - Ak @ ck)) <= 1e-8
 
 
-@pytest.mark.slow
 def test_criterion_9_bench_runs_are_byte_identical(tmp_path):
     cfg = {
         "data": {

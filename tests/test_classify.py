@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mrarc.atomic import Partition
+from mrarc.atomic import AtomicSet, Partition
 from mrarc.classify import (
     METHODS,
     MULTIMODAL_METHODS,
@@ -20,7 +22,15 @@ from mrarc.errors import (
     IndexOutOfRange,
 )
 from mrarc.modal import ModalLoss
-from mrarc.solver import SolverConfig, SquaredLoss, solve_crc
+from mrarc.solver import (
+    SolverConfig,
+    SquaredLoss,
+    solve_crc,
+    solve_mrar,
+    solve_mrar_multimodal,
+)
+
+from _oracles import class_residuals
 
 
 def _orthogonal_subspace_dictionary(rng, n_classes=3, block=4, per_class=5):
@@ -274,18 +284,6 @@ def test_bsrc_accepts_custom_partition():
     assert res2.label == 1
 
 
-def _oracle_residuals(d, y, c, sigma):
-    out = []
-    for k in range(d.n_classes):
-        cols = np.flatnonzero(d.class_of == k)
-        r = y - d.atoms[:, cols] @ c[cols]
-        if sigma is None:
-            out.append(np.linalg.norm(r))
-        else:
-            out.append(np.sum(1.0 - np.exp(-(r * r) / (2.0 * sigma * sigma))))
-    return np.array(out)
-
-
 def test_residuals_follow_interleaved_class_labels():
     # class columns are not contiguous, so the class layout permutes them
     rng = np.random.default_rng(22)
@@ -300,7 +298,7 @@ def test_residuals_follow_interleaved_class_labels():
             if method in MULTIMODAL_METHODS:
                 res = classify_multimodal([d, d], list(ys), spec)
                 want = sum(
-                    _oracle_residuals(d, y, res.coefficients[:, j], sigma)
+                    class_residuals(d.atoms, d.class_of, y, res.coefficients[:, j], sigma)
                     for j, y in enumerate(ys)
                 )
             elif method == "LRC":
@@ -312,7 +310,7 @@ def test_residuals_follow_interleaved_class_labels():
                     want.append(np.linalg.norm(ys[0] - Ak @ ck))
             else:
                 res = classify(d, ys[0], spec)
-                want = _oracle_residuals(d, ys[0], res.coefficients, sigma)
+                want = class_residuals(d.atoms, d.class_of, ys[0], res.coefficients, sigma)
             np.testing.assert_allclose(
                 res.residuals, want, rtol=1e-10, atol=1e-12, err_msg=method
             )
@@ -323,6 +321,43 @@ def test_residuals_follow_interleaved_class_labels():
         ))
         np.testing.assert_array_equal(default.coefficients, explicit.coefficients)
         np.testing.assert_array_equal(default.residuals, explicit.residuals)
+
+
+def test_result_reports_the_bandwidth_the_classes_were_scored_with():
+    rng = np.random.default_rng(23)
+    labels = np.repeat(np.arange(4), 5)
+    d = Dictionary.from_samples(rng.standard_normal((12, labels.size)), labels)
+    y = rng.standard_normal(12)
+    cfg = SolverConfig(lam=1e-2, epsilon=1e-5, max_iter=2000)
+    for method, aset in (
+        ("MRSRC", AtomicSet.sparse()),
+        ("MRBSRC", AtomicSet.block(Partition.from_labels(labels))),
+        ("MRCRC", AtomicSet.collaborative()),
+    ):
+        for loss in (ModalLoss.adaptive(1e-2), ModalLoss.fixed(0.4)):
+            res = classify(d, y, ClassifierSpec(method, lam=1e-2, loss=loss, solver=cfg))
+            out = solve_mrar(d.atoms, y, aset, replace(cfg, loss=loss))
+            assert isinstance(res.sigma, float)
+            assert res.sigma == out.sigma
+            np.testing.assert_allclose(
+                res.residuals,
+                class_residuals(d.atoms, labels, y, res.coefficients, res.sigma),
+                rtol=1e-10, atol=1e-12, err_msg=method,
+            )
+    ys = [y, rng.standard_normal(12)]
+    loss = ModalLoss.adaptive(1e-2)
+    res = classify_multimodal([d, d], ys, ClassifierSpec("MRJSRC", lam=1e-2, loss=loss, solver=cfg))
+    out = solve_mrar_multimodal([d.atoms] * 2, ys, AtomicSet.joint_rows(), replace(cfg, loss=loss))
+    assert res.sigma.shape == (2,)
+    np.testing.assert_array_equal(res.sigma, out.sigma)
+    want = sum(
+        class_residuals(d.atoms, labels, yj, res.coefficients[:, j], res.sigma[j])
+        for j, yj in enumerate(ys)
+    )
+    np.testing.assert_allclose(res.residuals, want, rtol=1e-10, atol=1e-12)
+    for method in ("SRC", "BSRC", "CRC", "LRC"):
+        assert classify(d, y, ClassifierSpec(method, lam=1e-2, solver=cfg)).sigma is None
+    assert classify_multimodal([d, d], ys, ClassifierSpec("JSRC", lam=1e-2, solver=cfg)).sigma is None
 
 
 def test_classify_validates_inputs():

@@ -175,6 +175,20 @@ def test_modal_method_rejects_fixed_sigma_with_a_floor():
         parse_experiment(cfg)
 
 
+def test_method_keys_the_parser_does_not_use_are_rejected():
+    # a misspelt key must not fall back to a default without a word
+    cases = [
+        ({"name": "SRC", "sigma": 0.5}, "sigma"),
+        ({"name": "CRC", "min_sigma": 0.1}, "min_sigma"),
+        ({"name": "MRSRC", "min_sgima": 0.1}, "min_sgima"),
+        ({"name": "SRC", "bogus": 1}, "bogus"),
+    ]
+    for method, key in cases:
+        cfg = _base_config(methods=[{"name": "LRC"}, method])
+        with pytest.raises(ConfigError, match=rf"methods\[1\].*'{key}'"):
+            parse_experiment(cfg)
+
+
 def test_load_experiment_missing_file_names_path(tmp_path):
     path = tmp_path / "nope.json"
     with pytest.raises(ConfigError, match="nope.json"):

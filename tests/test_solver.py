@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,13 @@ from mrarc.solver import (
 )
 
 from _oracles import (
+    group_subgradient_gap,
     ista_lasso,
     lasso_kkt_violation,
     lasso_objective,
     group_lasso_kkt_violation,
     lstsq_on_support,
+    modal_gradient,
     modal_scalar_min,
 )
 
@@ -252,6 +256,46 @@ def test_fixed_sigma_policy_is_respected():
     out = solve_mrar(X, y, AtomicSet.sparse(), cfg)
     assert out.sigma == 0.7
     assert np.all(out.history.sigma == 0.7)
+
+
+def test_converged_modal_solves_meet_the_first_order_bound():
+    # wide problems with a planted class and impulse-corrupted entries; a
+    # converged solve's coefficients must satisfy -grad f(c) in lam dN(c) to
+    # within 2 (mu + L) epsilon, L the inf-norm of X^T X / sigma^2.  The
+    # small bandwidth makes the loss strongly nonconvex; the large one makes
+    # L about 1, and with it the bound tight.
+    m, n, K = 24, 48, 6
+    lam, mu, eps = 1e-2, 0.1, 1e-6
+    labels = np.repeat(np.arange(K), n // K)
+    rows = [[i] for i in range(n)]
+    sets = [
+        (AtomicSet.sparse(), rows),
+        (AtomicSet.block(Partition.from_labels(labels)),
+         [np.flatnonzero(labels == k) for k in range(K)]),
+        (AtomicSet.collaborative(), [np.arange(n)]),
+    ]
+    for sigma, seed in itertools.product((0.3, 3.0), range(3)):
+        cfg = SolverConfig(lam=lam, mu=mu, epsilon=eps, max_iter=5000, loss=ModalLoss.fixed(sigma))
+        rng = np.random.default_rng(40 + seed)
+        Xs = [_unit_columns(rng, m, n) for _ in range(2)]
+        ys = []
+        for X in Xs:
+            y = X[:, labels == seed] @ rng.uniform(0.5, 1.5, n // K)
+            ys.append(y / np.linalg.norm(y) + 0.01 * rng.standard_normal(m))
+        hit = rng.choice(m, m // 5, replace=False)
+        ys[0][hit] = rng.uniform(-0.5, 0.5, hit.size)
+        hess = [np.max(np.sum(np.abs(X.T @ X), axis=1)) / sigma**2 for X in Xs]
+        for aset, groups in sets:
+            out = solve_mrar(Xs[0], ys[0], aset, cfg)
+            assert out.converged, (aset.kind, sigma)
+            G = modal_gradient(Xs[0], ys[0], out.coefficients, sigma)
+            gap = group_subgradient_gap(out.coefficients[:, None], G[:, None], lam, groups)
+            assert gap <= 2.0 * (mu + hess[0]) * eps, (aset.kind, sigma)
+        out = solve_mrar_multimodal(Xs, ys, AtomicSet.joint_rows(), cfg)
+        assert out.converged, sigma
+        C = out.coefficients
+        G = np.column_stack([modal_gradient(X, y, C[:, j], sigma) for j, (X, y) in enumerate(zip(Xs, ys))])
+        assert group_subgradient_gap(C, G, lam, rows) <= 2.0 * (mu + max(hess)) * eps
 
 
 # ---------------------------------------------------------------------------
