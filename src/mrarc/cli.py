@@ -49,9 +49,6 @@ CSV_HEADER = (
     "method,noise_level,repeat,accuracy,mean_solver_iters,converged_share,wall_time_ms"
 )
 
-_METHOD_FIELDS = ("name", "lam", "mu", "epsilon", "max_iter", "hq_inner_tol", "hq_inner_max")
-_MODAL_FIELDS = ("sigma", "min_sigma")  # accepted on MR methods only
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -167,32 +164,37 @@ def _parse_methods(cfg):
                 "available through the benchmark runner"
             )
         modal = name.startswith("MR")
-        for key in mc:
-            if key in _MODAL_FIELDS and not modal:
+        # every key is read off a copy, so whatever is left is one the
+        # parser does not use
+        rest = dict(mc)
+        del rest["name"]
+
+        def take(key, types, default):
+            value = _optional(rest, key, types, default, where)
+            rest.pop(key, None)
+            return value
+
+        lam = float(take("lam", (int, float), 1e-3))
+        settings = dict(
+            mu=float(take("mu", (int, float), 0.1)),
+            epsilon=float(take("epsilon", (int, float), 1e-7)),
+            max_iter=int(take("max_iter", int, 100_000)),
+            hq_inner_tol=float(take("hq_inner_tol", (int, float), 1e-6)),
+            hq_inner_max=int(take("hq_inner_max", int, 10)),
+        )
+        bandwidth = {key: take(key, (int, float), None) for key in ("sigma", "min_sigma")}
+        for key in rest:
+            raise ConfigError(f"{where}: unknown field '{key}'")
+        for key, value in bandwidth.items():
+            if value is not None and not modal:
                 raise ConfigError(f"{where}: field '{key}' applies only to MR methods")
-            if key not in _METHOD_FIELDS and key not in _MODAL_FIELDS:
-                raise ConfigError(f"{where}: unknown field '{key}'")
-        lam = float(_optional(mc, "lam", (int, float), 1e-3, where))
         try:
-            solver = SolverConfig(
-                lam=lam,
-                mu=float(_optional(mc, "mu", (int, float), 0.1, where)),
-                epsilon=float(_optional(mc, "epsilon", (int, float), 1e-7, where)),
-                max_iter=int(_optional(mc, "max_iter", int, 100_000, where)),
-                hq_inner_tol=float(
-                    _optional(mc, "hq_inner_tol", (int, float), 1e-6, where)
-                ),
-                hq_inner_max=int(_optional(mc, "hq_inner_max", int, 10, where)),
-            )
             loss = None
             if modal:
-                sigma = _optional(mc, "sigma", (int, float), None, where)
-                min_sigma = _optional(mc, "min_sigma", (int, float), None, where)
                 loss = ModalLoss(
-                    None if sigma is None else float(sigma),
-                    None if min_sigma is None else float(min_sigma),
+                    **{k: None if v is None else float(v) for k, v in bandwidth.items()}
                 )
-            spec = ClassifierSpec(name, lam, loss, solver)
+            spec = ClassifierSpec(name, lam, loss, SolverConfig(lam=lam, **settings))
         except (MrarcError, ValueError, TypeError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
         out.append(spec)

@@ -298,6 +298,24 @@ def test_converged_modal_solves_meet_the_first_order_bound():
         assert group_subgradient_gap(C, G, lam, rows) <= 2.0 * (mu + max(hess)) * eps
 
 
+def test_accelerated_solves_never_repeat_an_iteration():
+    # a restart right after a momentum-free step would step from the same
+    # point twice; the repeat has a zero c step and the gap of the step
+    # before, so it would pass the stop test at a point still moving
+    m, n, eps = 24, 48, 1e-6
+    for seed in range(4):
+        rng = np.random.default_rng(40 + seed)
+        X = _unit_columns(rng, m, n)
+        y = X[:, :8] @ rng.uniform(0.5, 1.5, 8)
+        y = y / np.linalg.norm(y) + 0.01 * rng.standard_normal(m)
+        hit = rng.choice(m, m // 5, replace=False)
+        y[hit] = rng.uniform(-0.5, 0.5, hit.size)
+        cfg = SolverConfig(lam=1e-2, mu=0.1, epsilon=eps, max_iter=5000, loss=ModalLoss.fixed(0.3))
+        h = solve_mrar(X, y, AtomicSet.sparse(), cfg).history
+        repeats = (h.step[1:] == 0.0) & (h.gap[1:] == h.gap[:-1])
+        assert not repeats.any(), (seed, np.flatnonzero(repeats) + 1)
+
+
 # ---------------------------------------------------------------------------
 # squared-loss solver
 # ---------------------------------------------------------------------------
