@@ -160,7 +160,9 @@ class ClassifierSpec:
 
     ``loss`` overrides the method's default data term (modal for MR methods,
     squared otherwise); ``solver`` supplies mu/epsilon/iteration limits, and
-    its lam/loss fields are replaced by the ones given here.
+    its lam/loss fields are replaced by the ones given here.  Settings a
+    method would ignore are rejected: a ``ModalLoss`` on the closed-form CRC
+    and LRC, and a ``block_partition`` on anything but BSRC and MRBSRC.
     """
 
     method: str
@@ -177,6 +179,15 @@ class ClassifierSpec:
         check_positive(self.lam, "lam")
         if self.loss is not None and not isinstance(self.loss, (ModalLoss, SquaredLoss)):
             raise TypeError("loss must be ModalLoss, SquaredLoss, or None")
+        if isinstance(self.loss, ModalLoss) and self.method in ("CRC", "LRC"):
+            raise ValueError(
+                f"{self.method} is a closed-form squared-loss method and takes no "
+                "ModalLoss; use MRCRC for the modal collaborative representation"
+            )
+        if self.block_partition is not None and self.method not in ("BSRC", "MRBSRC"):
+            raise ValueError(
+                f"block_partition applies only to BSRC and MRBSRC, not {self.method}"
+            )
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,23 @@ numpy and scipy wrappers, and raise ``numpy.linalg.LinAlgError`` when a
 system is not positive definite.  ``hq_inner`` takes an optional trailing
 ``e0``, the residual y - X z0 the caller already has, which its first pass
 then uses instead of computing it again.
+
+``hq_inner`` stops after the first pass that moves z by at most
+tol (1 + ||z||_inf).  In the dual form (m < n) it can stop one pass earlier,
+on a bound that needs no factorization (half-quadratic theory: Nikolova and
+Ng, "Analysis of Half-Quadratic Minimization Methods for Signal and Image
+Recovery", SIAM J. Sci. Comput. 2005).  Pass k returns z_k, solved with the
+weights w_{k-1}; the residual e_k = y - X z_k and the weights w_k are what
+pass k + 1 would start from.  Since z_k solves its own system, the gradient
+of the z-step objective at z_k is -X^T q with q = (w_k - w_{k-1}) e_k, and
+pass k + 1 would move z by (X^T W_k X + mu I)^{-1} X^T q, no more than
+B = ||X^T q||_2 / mu in any entry.  ||X^T q||_2^2 = q^T (X X^T) q is one
+m x m product with the Gram matrix the dual form holds anyway.  When
+B (1 + tol) <= tol (1 + ||z_k||_inf), pass k + 1's step test would pass, so
+z_k is returned; it differs from that pass's result by at most B.  The
+primal form (m >= n) keeps the plain step test: it has no m x m Gram
+matrix, and on tall galleries the loop takes several real passes, so the
+bound would nearly always be computed in vain.
 """
 
 from types import SimpleNamespace
@@ -68,26 +85,31 @@ def _potrs(L, b):
     return x
 
 
+def _hq_weights(r, neg_inv_two_s2, inv_s2):
+    # w_i = exp(-r_i^2 / (2 sigma^2)) / sigma^2, in one fresh array
+    w = r * r
+    w *= neg_inv_two_s2
+    np.exp(w, out=w)
+    w *= inv_s2
+    return w
+
+
 def _hq_inner(X, Xt, XXt, y, v, mu, sigma, z0, tol, max_passes, woodbury, e0=None):
     # Alternates the weight update w_i = exp(-e_i^2/(2 sigma^2)) / sigma^2 with
     # the weighted ridge solve (X^T W X + mu I) z = X^T W y + mu v.  The first
     # pass takes its residual y - X z0 from e0 when given (it is not modified).
+    # A pass whose step test fails computes the next pass's residual e and
+    # weights w_next at once; in the dual form it then stops if the gradient
+    # bound of the module docstring holds, B (1 + tol) <= tol (1 + ||z||_inf),
+    # compared squared so that no square root is taken.
     m = X.shape[0]
     neg_inv_two_s2 = -1.0 / (2.0 * sigma * sigma)
     inv_s2 = 1.0 / (sigma * sigma)
     muv = mu * v
     z = z0
     passes = 0
-    for _ in range(max_passes):
-        if e0 is None:
-            e = y - X @ z
-            e *= e
-        else:
-            e = e0 * e0
-            e0 = None
-        e *= neg_inv_two_s2
-        w = np.exp(e, out=e)
-        w *= inv_s2
+    w = _hq_weights(y - X @ z if e0 is None else e0, neg_inv_two_s2, inv_s2)
+    for passes in range(1, max_passes + 1):
         b = Xt @ (w * y)
         b += muv
         if woodbury:
@@ -104,11 +126,19 @@ def _hq_inner(X, Xt, XXt, y, v, mu, sigma, z0, tol, max_passes, woodbury, e0=Non
             M = Xt @ (X * w[:, None])
             M.ravel()[:: M.shape[0] + 1] += mu
             z_new = _posv(M, b)
-        passes += 1
         dz = np.abs(z_new - z).max()
         z = z_new
-        if dz <= tol * (1.0 + np.abs(z_new).max()):
+        zmax = np.abs(z).max()
+        if dz <= tol * (1.0 + zmax) or passes == max_passes:
             break
+        e = y - X @ z
+        w_next = _hq_weights(e, neg_inv_two_s2, inv_s2)
+        if woodbury:
+            q = w_next - w
+            q *= e
+            if (q @ (XXt @ q)) * (1.0 + tol) ** 2 <= (tol * mu * (1.0 + zmax)) ** 2:
+                break
+        w = w_next
     return z, passes
 
 

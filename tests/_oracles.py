@@ -106,6 +106,28 @@ def ista_lasso(X, y, lam, tol=1e-10, max_iter=500_000):
     )
 
 
+def hq_loop(X, y, v, mu, sigma, z0, tol, max_passes):
+    """Half-quadratic passes for the z-step, each a dense n x n solve.
+
+    A pass takes the weights w_i = exp(-e_i^2 / (2 sigma^2)) / sigma^2 of the
+    residual e = y - X z and solves (X^T W X + mu I) z = X^T W y + mu v with
+    ``np.linalg.solve``.  The loop stops after the first pass that moves z by
+    at most tol (1 + ||z||_inf), or after ``max_passes``.  Returns z and the
+    number of passes.
+    """
+    n = X.shape[1]
+    z, passes = np.asarray(z0, dtype=np.float64), 0
+    for passes in range(1, max_passes + 1):
+        e = y - X @ z
+        w = np.exp(-(e * e) / (2.0 * sigma * sigma)) / (sigma * sigma)
+        z_new = np.linalg.solve(X.T @ (w[:, None] * X) + mu * np.eye(n), X.T @ (w * y) + mu * v)
+        step = np.abs(z_new - z).max()
+        z = z_new
+        if step <= tol * (1.0 + np.abs(z).max()):
+            break
+    return z, passes
+
+
 def lasso_objective(X, y, c, lam):
     r = y - X @ c
     return float(r @ r) + lam * float(np.sum(np.abs(c)))

@@ -284,6 +284,20 @@ def test_bsrc_accepts_custom_partition():
     assert res2.label == 1
 
 
+@pytest.mark.parametrize("method", ["CRC", "LRC"])
+def test_spec_rejects_a_modal_loss_on_a_closed_form_method(method):
+    with pytest.raises(ValueError, match="MRCRC"):
+        ClassifierSpec(method, loss=ModalLoss.fixed(0.1))
+    ClassifierSpec(method, loss=SquaredLoss())  # the loss they use anyway
+
+
+@pytest.mark.parametrize("method", sorted(set(METHODS) - {"BSRC", "MRBSRC"}))
+def test_spec_rejects_a_block_partition_on_a_method_without_blocks(method):
+    part = Partition.from_labels(np.repeat([0, 1], 2))
+    with pytest.raises(ValueError, match="block_partition"):
+        ClassifierSpec(method, block_partition=part)
+
+
 def test_residuals_follow_interleaved_class_labels():
     # class columns are not contiguous, so the class layout permutes them
     rng = np.random.default_rng(22)

@@ -62,6 +62,23 @@ def test_solver_config_validation():
         SolverConfig(loss="huber")
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [{"max_iter": 2.7}, {"max_iter": True}, {"max_iter": 5.0}, {"hq_inner_max": "3"},
+     {"hq_inner_max": 2.5}, {"hq_inner_max": False}],
+    ids=["max_iter_float", "max_iter_bool", "max_iter_whole_float", "hq_inner_max_str",
+         "hq_inner_max_float", "hq_inner_max_bool"],
+)
+def test_solver_config_rejects_non_integer_iteration_limits(settings):
+    with pytest.raises(TypeError, match="integer"):
+        SolverConfig(**settings)
+
+
+def test_solver_config_accepts_numpy_integer_iteration_limits():
+    cfg = SolverConfig(max_iter=np.int64(7), hq_inner_max=np.int32(3))
+    assert (cfg.max_iter, cfg.hq_inner_max) == (7, 3)
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 @pytest.mark.parametrize(
     "make",
