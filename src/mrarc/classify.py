@@ -160,9 +160,11 @@ class ClassifierSpec:
 
     ``loss`` overrides the method's default data term (modal for MR methods,
     squared otherwise); ``solver`` supplies mu/epsilon/iteration limits, and
-    its lam/loss fields are replaced by the ones given here.  Settings a
-    method would ignore are rejected: a ``ModalLoss`` on the closed-form CRC
-    and LRC, and a ``block_partition`` on anything but BSRC and MRBSRC.
+    its lam is replaced by the one given here, as is its loss by the one the
+    spec resolves to.  Settings a method would ignore are rejected: a
+    ``ModalLoss`` on the closed-form CRC and LRC, a ``ModalLoss`` in
+    ``solver`` other than the one the spec resolves to, and a
+    ``block_partition`` on anything but BSRC and MRBSRC.
     """
 
     method: str
@@ -183,6 +185,12 @@ class ClassifierSpec:
             raise ValueError(
                 f"{self.method} is a closed-form squared-loss method and takes no "
                 "ModalLoss; use MRCRC for the modal collaborative representation"
+            )
+        solver_loss = None if self.solver is None else self.solver.loss
+        if isinstance(solver_loss, ModalLoss) and solver_loss != _effective_loss(self):
+            raise ValueError(
+                f"solver.loss {solver_loss!r} conflicts with the loss {self.method} "
+                "runs with; set the loss on the spec"
             )
         if self.block_partition is not None and self.method not in ("BSRC", "MRBSRC"):
             raise ValueError(

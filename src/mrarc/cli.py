@@ -4,7 +4,14 @@ Subcommands: ``gen`` writes a synthetic dataset, ``classify`` labels a query
 file against a training file, ``bench`` sweeps methods x noise levels x
 repeats from a JSON config, and ``modecheck`` reports the estimated mode of a
 residual sample file.  Exit codes: 0 on success, 2 for configuration
-problems, 1 for runtime failures.
+problems, 1 for runtime failures.  A configuration problem is a bad argument
+or config field, or an input file that cannot be read or an output path
+that cannot be written (any ``OSError`` on it); each is reported as one
+``error:`` line that names the field or the path.
+
+Config fields are read by one typed reader: a JSON boolean is never taken
+as a number, and a method object passes only the keys it gives, so every
+other setting keeps the library's default.
 
 Benchmark rows are sorted by (method, noise level, repeat) and every random
 draw is derived from the config seed, so a rerun of the same config writes
@@ -15,8 +22,10 @@ column, which is otherwise the one nondeterministic field).
 import argparse
 import json
 import math
+import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,8 +38,6 @@ from .classify import (
     classify,
 )
 from .data import (
-    CSV,
-    RAW,
     BlockOcclusion,
     LabeledMatrix,
     PixelCorruption,
@@ -43,11 +50,12 @@ from .data import (
 )
 from .errors import ConfigError, MrarcError
 from .modal import Kernel, ModalLoss, estimate_mode, parzen_density
-from .solver import SolverConfig, SquaredLoss
+from .solver import SolverConfig
 
 CSV_HEADER = (
     "method,noise_level,repeat,accuracy,mean_solver_iters,converged_share,wall_time_ms"
 )
+_STAT_COLUMNS = tuple(CSV_HEADER.split(",")[3:])  # a row's figures after its cell's key
 
 
 @dataclass(frozen=True)
@@ -66,156 +74,186 @@ class ExperimentSpec:
     output: str | None
 
 
-def _require(cfg, field, types, where):
-    if field not in cfg:
-        raise ConfigError(f"{where}: missing required field '{field}'")
-    value = cfg[field]
-    if types is not None and not isinstance(value, types):
-        raise ConfigError(f"{where}: field '{field}' has the wrong type")
-    return value
+_REQUIRED = object()
+# two-entry lists: the type of each entry, and the shape that messages name
+_RANGE = (float, "[lo, hi]")
+_SHAPE = (int, "[height, width]")
+# JSON key -> SyntheticSpec field, for the counts of a synthetic dataset
+_SYNTHETIC_COUNTS = {
+    "classes": "n_classes",
+    "subspace_dim": "subspace_dim",
+    "ambient_dim": "ambient_dim",
+    "per_class_train": "per_class_train",
+    "per_class_test": "per_class_test",
+}
+# ``mrarc gen`` runs without a config, so it has counts of its own
+_GEN_COUNTS = {
+    "classes": 5, "subspace_dim": 3, "ambient_dim": 64, "per_class_train": 10, "per_class_test": 5,
+}
+_SOLVER_KEYS = {"mu": float, "epsilon": float, "max_iter": int}
+_BANDWIDTH_KEYS = {"sigma": float, "min_sigma": float}
+# noise kind -> its class and that class's field for the JSON key "range"
+_NOISE_KINDS = {
+    "pixel_corruption": (PixelCorruption, "value_range"),
+    "block_occlusion": (BlockOcclusion, "fill_range"),
+}
 
 
-def _optional(cfg, field, types, default, where):
-    if field not in cfg or cfg[field] is None:
+def _field(obj, key, kind, where, default=_REQUIRED):
+    """``obj[key]`` as ``kind``, or ``default`` when it is absent or null.
+
+    ``kind`` is a JSON type (int, float, str, bool, dict or list) or a
+    two-entry list such as ``_RANGE``, read as a tuple.  A JSON boolean is
+    no number, and an integer is a float.  Without a default the key is
+    required.  Errors are ConfigErrors prefixed by ``where``.
+    """
+    value = obj.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}: missing required field '{key}'")
         return default
-    value = cfg[field]
-    if types is not None and not isinstance(value, types):
-        raise ConfigError(f"{where}: field '{field}' has the wrong type")
+    pair = isinstance(kind, tuple)
+    if pair:
+        kind, shape = kind
+        if not (isinstance(value, list) and len(value) == 2):
+            raise ConfigError(f"{where}: field '{key}' must be {shape}")
+    items = value if pair else [value]
+    types = (int, float) if kind is float else kind
+    for v in items:
+        if not isinstance(v, types) or (isinstance(v, bool) and kind is not bool):
+            raise ConfigError(f"{where}: field '{key}' has the wrong type")
+    return tuple(map(kind, items)) if pair else kind(value)
+
+
+def _fields(obj, kinds, where):
+    """The keys of ``kinds`` that ``obj`` sets (not null), each read by _field."""
+    return {
+        key: _field(obj, key, kind, where)
+        for key, kind in kinds.items()
+        if obj.get(key) is not None
+    }
+
+
+def _object(value, where):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: must be a JSON object")
     return value
+
+
+def _build(where, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; the library's validation errors become
+    ConfigErrors prefixed by ``where``.  Read every field before the call,
+    so that no ConfigError is prefixed twice."""
+    try:
+        return make(*args, **kwargs)
+    except (MrarcError, ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+@contextmanager
+def _file_errors(path, verb="read"):
+    """Any OSError in the block becomes a ConfigError naming the file."""
+    try:
+        yield
+    except OSError as exc:
+        name = exc.filename or path
+        raise ConfigError(f"cannot {verb} {name}: {exc.strerror or exc}") from None
+
+
+def _load_json(path):
+    try:
+        with _file_errors(path), open(path, "rb") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+
+
+def _parse_synthetic(obj, where, defaults, seed=0):
+    counts = {
+        attr: _field(obj, key, int, where, defaults.get(key, _REQUIRED))
+        for key, attr in _SYNTHETIC_COUNTS.items()
+    }
+    scale = _fields(obj, {"coeff_scale": float}, where)
+    return _build(where, SyntheticSpec, seed=seed, **counts, **scale)
 
 
 def _parse_data(cfg):
-    data = _require(cfg, "data", dict, "config")
-    image_shape = _optional(data, "image_shape", list, None, "data")
-    if image_shape is not None:
-        if len(image_shape) != 2:
-            raise ConfigError("data: field 'image_shape' must be [height, width]")
-        image_shape = (int(image_shape[0]), int(image_shape[1]))
-    if "synthetic" in data:
-        syn = data["synthetic"]
-        if not isinstance(syn, dict):
-            raise ConfigError("data: field 'synthetic' must be an object")
-        try:
-            spec = SyntheticSpec(
-                n_classes=int(_require(syn, "classes", (int,), "data.synthetic")),
-                subspace_dim=int(_require(syn, "subspace_dim", (int,), "data.synthetic")),
-                ambient_dim=int(_require(syn, "ambient_dim", (int,), "data.synthetic")),
-                per_class_train=int(
-                    _require(syn, "per_class_train", (int,), "data.synthetic")
-                ),
-                per_class_test=int(
-                    _require(syn, "per_class_test", (int,), "data.synthetic")
-                ),
-                coeff_scale=float(
-                    _optional(syn, "coeff_scale", (int, float), 1.0, "data.synthetic")
-                ),
-            )
-        except MrarcError as exc:
-            raise ConfigError(f"data.synthetic: {exc}") from exc
-        if image_shape is not None and image_shape[0] * image_shape[1] != spec.ambient_dim:
-            raise ConfigError("data: image_shape does not match ambient_dim")
-        return spec, None, None, image_shape
-    train = _require(data, "train", str, "data")
-    test = _require(data, "test", str, "data")
-    return None, train, test, image_shape
+    data = _field(cfg, "data", dict, "config")
+    image_shape = _field(data, "image_shape", _SHAPE, "data", None)
+    if "synthetic" not in data:
+        train, test = (_field(data, key, str, "data") for key in ("train", "test"))
+        return None, train, test, image_shape
+    spec = _parse_synthetic(_field(data, "synthetic", dict, "data"), "data.synthetic", {})
+    if image_shape is not None and image_shape[0] * image_shape[1] != spec.ambient_dim:
+        raise ConfigError("data: image_shape does not match ambient_dim")
+    return spec, None, None, image_shape
 
 
 def _parse_noise(cfg):
-    levels = _optional(cfg, "noise", list, [{"kind": "pixel_corruption", "fraction": 0.0}], "config")
+    levels = _field(cfg, "noise", list, "config", None)
+    if levels is None:
+        return (PixelCorruption(0.0),)
     out = []
     for i, lv in enumerate(levels):
         where = f"noise[{i}]"
-        if not isinstance(lv, dict):
-            raise ConfigError(f"{where}: each noise level must be an object")
-        kind = _require(lv, "kind", str, where)
-        fraction = float(_require(lv, "fraction", (int, float), where))
-        rng_pair = _optional(lv, "range", list, [0.0, 255.0], where)
-        if len(rng_pair) != 2:
-            raise ConfigError(f"{where}: field 'range' must be [lo, hi]")
-        lo, hi = float(rng_pair[0]), float(rng_pair[1])
-        try:
-            if kind == "pixel_corruption":
-                out.append(PixelCorruption(fraction, (lo, hi)))
-            elif kind == "block_occlusion":
-                fill = _optional(lv, "fill", str, "uniform", where)
-                out.append(BlockOcclusion(fraction, fill, None, (lo, hi)))
-            else:
-                raise ConfigError(f"{where}: unknown noise kind {kind!r}")
-        except MrarcError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+        kind = _field(_object(lv, where), "kind", str, where)
+        if kind not in _NOISE_KINDS:
+            raise ConfigError(f"{where}: unknown noise kind {kind!r}")
+        make, range_field = _NOISE_KINDS[kind]
+        opts = {range_field: span for span in _fields(lv, {"range": _RANGE}, where).values()}
+        if make is BlockOcclusion:
+            opts.update(_fields(lv, {"fill": str}, where))
+        out.append(_build(where, make, _field(lv, "fraction", float, where), **opts))
     return tuple(out)
+
+
+def _parse_method(mc, where):
+    name = _field(_object(mc, where), "name", str, where)
+    if name not in METHODS:
+        raise ConfigError(f"{where}: unknown method name {name!r}")
+    if name in MULTIMODAL_METHODS:
+        raise ConfigError(
+            f"{where}: method {name!r} needs multimodal data and is not "
+            "available through the benchmark runner"
+        )
+    for key in mc:
+        if key not in ("name", "lam", *_SOLVER_KEYS, *_BANDWIDTH_KEYS):
+            raise ConfigError(f"{where}: unknown field '{key}'")
+    lam = _fields(mc, {"lam": float}, where)
+    settings = _fields(mc, _SOLVER_KEYS, where)
+    bandwidth = _fields(mc, _BANDWIDTH_KEYS, where)
+    modal = name.startswith("MR")
+    for key in bandwidth:
+        if not modal:
+            raise ConfigError(f"{where}: field '{key}' applies only to MR methods")
+    # every setting a method object leaves out keeps the library's default
+    return _build(where, lambda: ClassifierSpec(
+        name, loss=ModalLoss(**bandwidth) if modal else None,
+        solver=SolverConfig(**settings), **lam,
+    ))
 
 
 def _parse_methods(cfg):
-    methods = _require(cfg, "methods", list, "config")
+    methods = _field(cfg, "methods", list, "config")
     if not methods:
         raise ConfigError("config: field 'methods' must not be empty")
-    out = []
-    for i, mc in enumerate(methods):
-        where = f"methods[{i}]"
-        if not isinstance(mc, dict):
-            raise ConfigError(f"{where}: each method must be an object")
-        name = _require(mc, "name", str, where)
-        if name not in METHODS:
-            raise ConfigError(f"{where}: unknown method name {name!r}")
-        if name in MULTIMODAL_METHODS:
-            raise ConfigError(
-                f"{where}: method {name!r} needs multimodal data and is not "
-                "available through the benchmark runner"
-            )
-        modal = name.startswith("MR")
-        # every key is read off a copy, so whatever is left is one the
-        # parser does not use
-        rest = dict(mc)
-        del rest["name"]
-
-        def take(key, types, default):
-            value = _optional(rest, key, types, default, where)
-            rest.pop(key, None)
-            return value
-
-        lam = float(take("lam", (int, float), 1e-3))
-        settings = dict(
-            mu=float(take("mu", (int, float), 0.1)),
-            epsilon=float(take("epsilon", (int, float), 1e-7)),
-            max_iter=int(take("max_iter", int, 100_000)),
-            hq_inner_tol=float(take("hq_inner_tol", (int, float), 1e-6)),
-            hq_inner_max=int(take("hq_inner_max", int, 10)),
-        )
-        bandwidth = {key: take(key, (int, float), None) for key in ("sigma", "min_sigma")}
-        for key in rest:
-            raise ConfigError(f"{where}: unknown field '{key}'")
-        for key, value in bandwidth.items():
-            if value is not None and not modal:
-                raise ConfigError(f"{where}: field '{key}' applies only to MR methods")
-        try:
-            loss = None
-            if modal:
-                loss = ModalLoss(
-                    **{k: None if v is None else float(v) for k, v in bandwidth.items()}
-                )
-            spec = ClassifierSpec(name, lam, loss, SolverConfig(lam=lam, **settings))
-        except (MrarcError, ValueError, TypeError) as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-        out.append(spec)
-    return tuple(out)
+    return tuple(_parse_method(mc, f"methods[{i}]") for i, mc in enumerate(methods))
 
 
 def parse_experiment(cfg):
     """Build a validated ExperimentSpec from a decoded JSON object."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("config: top level must be a JSON object")
+    _object(cfg, "config")
     synthetic, train, test, image_shape = _parse_data(cfg)
     noise = _parse_noise(cfg)
     methods = _parse_methods(cfg)
-    repeats = int(_optional(cfg, "repeats", int, 1, "config"))
+    repeats = _field(cfg, "repeats", int, "config", 1)
     if repeats < 1:
         raise ConfigError("config: field 'repeats' must be at least 1")
-    seed = int(_optional(cfg, "seed", int, 0, "config"))
+    seed = _field(cfg, "seed", int, "config", 0)
     if seed < 0:
         raise ConfigError("config: field 'seed' must be nonnegative")
-    record_timing = bool(_optional(cfg, "record_timing", bool, True, "config"))
-    output = _optional(cfg, "output", str, None, "config")
+    record_timing = _field(cfg, "record_timing", bool, "config", True)
+    output = _field(cfg, "output", str, "config", None)
     return ExperimentSpec(
         synthetic, train, test, image_shape, noise, methods,
         repeats, seed, record_timing, output,
@@ -224,20 +262,11 @@ def parse_experiment(cfg):
 
 def load_experiment(path):
     """Read and validate a JSON experiment config from disk."""
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    spec = parse_experiment(cfg)
+    spec = parse_experiment(_load_json(path))
     for p in (spec.train_path, spec.test_path):
         if p is not None:
-            try:
+            with _file_errors(p):
                 open(p, "rb").close()
-            except OSError:
-                raise ConfigError(f"config: referenced data file not found: {p}") from None
     return spec
 
 
@@ -264,74 +293,49 @@ def run_experiment(spec, out_dir=None):
     accuracy and the sweep continues.
     """
     out_dir = out_dir if out_dir is not None else spec.output
+    if out_dir is not None:  # before the sweep, so that a bad path fails fast
+        with _file_errors(out_dir, "write"):
+            os.makedirs(out_dir, exist_ok=True)
     rows = []
     errors = []
-    file_data = None
     if spec.synthetic is None:
-        train = load_matrix(spec.train_path)
-        test = load_matrix(spec.test_path)
+        with _file_errors(spec.train_path):
+            train, test = load_matrix(spec.train_path), load_matrix(spec.test_path)
         if train.labels is None or test.labels is None:
             raise ConfigError("config: benchmark data files must carry labels")
-        file_data = (train, test)
     for rep in range(spec.repeats):
         if spec.synthetic is not None:
             train, test = gen_subspace_data(
                 replace(spec.synthetic, seed=spec.seed + rep)
             )
-        else:
-            train, test = file_data
         if spec.image_shape is not None:
             train = LabeledMatrix(train.samples, train.labels, spec.image_shape)
             test = LabeledMatrix(test.samples, test.labels, spec.image_shape)
         dictionary = Dictionary.from_samples(train.samples, train.labels)
         for li, template in enumerate(spec.noise):
             noisy = _apply_noise(test, template, _noise_seed(spec.seed, rep, li))
+            nq = max(noisy.n_samples, 1)
             for mspec in spec.methods:
                 level = float(template.fraction)
+                row = {"method": mspec.method, "noise_level": level, "repeat": rep}
                 try:
                     t0 = time.perf_counter()
-                    correct = 0
-                    iter_total = 0
-                    converged = 0
-                    for q in range(noisy.n_samples):
-                        res = classify(dictionary, noisy.samples[:, q], mspec)
-                        iter_total += res.iterations
-                        converged += bool(res.converged)
-                        if res.label == int(noisy.labels[q]):
-                            correct += 1
+                    results = [
+                        classify(dictionary, noisy.samples[:, q], mspec)
+                        for q in range(noisy.n_samples)
+                    ]
                     wall_ms = (time.perf_counter() - t0) * 1e3
-                    nq = max(noisy.n_samples, 1)
-                    rows.append(
-                        {
-                            "method": mspec.method,
-                            "noise_level": level,
-                            "repeat": rep,
-                            "accuracy": correct / nq,
-                            "mean_solver_iters": iter_total / nq,
-                            "converged_share": converged / nq,
-                            "wall_time_ms": wall_ms if spec.record_timing else 0.0,
-                        }
+                    correct = sum(r.label == int(lab) for r, lab in zip(results, noisy.labels))
+                    stats = (
+                        correct / nq,
+                        sum(r.iterations for r in results) / nq,
+                        sum(bool(r.converged) for r in results) / nq,
+                        wall_ms if spec.record_timing else 0.0,
                     )
                 except MrarcError as exc:
-                    errors.append(
-                        {
-                            "method": mspec.method,
-                            "noise_level": level,
-                            "repeat": rep,
-                            "error": str(exc),
-                        }
-                    )
-                    rows.append(
-                        {
-                            "method": mspec.method,
-                            "noise_level": level,
-                            "repeat": rep,
-                            "accuracy": math.nan,
-                            "mean_solver_iters": math.nan,
-                            "converged_share": math.nan,
-                            "wall_time_ms": 0.0,
-                        }
-                    )
+                    errors.append({**row, "error": str(exc)})
+                    stats = (math.nan, math.nan, math.nan, 0.0)
+                rows.append({**row, **dict(zip(_STAT_COLUMNS, stats))})
     rows.sort(key=lambda r: (r["method"], r["noise_level"], r["repeat"]))
     summary = _summarize(rows, errors)
     if out_dir is not None:
@@ -345,48 +349,29 @@ def _summarize(rows, errors):
         cells.setdefault((r["method"], r["noise_level"]), []).append(r["accuracy"])
     summary_cells = []
     for (method, level), accs in sorted(cells.items()):
-        finite = [a for a in accs if not math.isnan(a)]
-        stats = (
-            {
-                "mean": sum(finite) / len(finite),
-                "min": min(finite),
-                "max": max(finite),
-            }
-            if finite
-            else {"mean": math.nan, "min": math.nan, "max": math.nan}
-        )
-        summary_cells.append(
-            {"method": method, "noise_level": level, "accuracy": stats}
-        )
+        finite = [a for a in accs if not math.isnan(a)] or [math.nan]
+        stats = {"mean": sum(finite) / len(finite), "min": min(finite), "max": max(finite)}
+        summary_cells.append({"method": method, "noise_level": level, "accuracy": stats})
     return {"cells": summary_cells, "errors": errors}
 
 
+_CSV_ROW = (
+    "{method},{noise_level:g},{repeat},{accuracy:.6f},{mean_solver_iters:.2f},"
+    "{converged_share:.6f},{wall_time_ms:.3f}"
+)
+
+
 def format_rows_csv(rows):
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            "{method},{level:g},{rep},{acc:.6f},{it:.2f},{conv:.6f},{wall:.3f}".format(
-                method=r["method"],
-                level=r["noise_level"],
-                rep=r["repeat"],
-                acc=r["accuracy"],
-                it=r["mean_solver_iters"],
-                conv=r["converged_share"],
-                wall=r["wall_time_ms"],
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return "\n".join([CSV_HEADER, *(_CSV_ROW.format(**r) for r in rows)]) + "\n"
 
 
 def _write_outputs(rows, summary, out_dir):
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "results.csv"), "w") as fh:
-        fh.write(format_rows_csv(rows))
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _file_errors(out_dir, "write"):
+        with open(os.path.join(out_dir, "results.csv"), "w") as fh:
+            fh.write(format_rows_csv(rows))
+        with open(os.path.join(out_dir, "summary.json"), "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -395,67 +380,30 @@ def _write_outputs(rows, summary, out_dir):
 
 
 def _cmd_gen(args):
-    import os
-
-    cfg = {}
-    if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise ConfigError("config: top level must be a JSON object")
-    where = "gen config"
-    try:
-        spec = SyntheticSpec(
-            n_classes=int(_optional(cfg, "classes", int, 5, where)),
-            subspace_dim=int(_optional(cfg, "subspace_dim", int, 3, where)),
-            ambient_dim=int(_optional(cfg, "ambient_dim", int, 64, where)),
-            per_class_train=int(_optional(cfg, "per_class_train", int, 10, where)),
-            per_class_test=int(_optional(cfg, "per_class_test", int, 5, where)),
-            coeff_scale=float(_optional(cfg, "coeff_scale", (int, float), 1.0, where)),
-            seed=args.seed,
-        )
-    except MrarcError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    cfg = {} if args.config is None else _object(_load_json(args.config), "gen config")
+    spec = _parse_synthetic(cfg, "gen config", _GEN_COUNTS, seed=args.seed)
     train, test = gen_subspace_data(spec)
-    os.makedirs(args.out, exist_ok=True)
-    ext = "raw" if args.format == "raw" else "csv"
-    fmt = RAW if ext == "raw" else CSV
-    save_matrix(train, os.path.join(args.out, f"train.{ext}"), fmt)
-    save_matrix(test, os.path.join(args.out, f"test.{ext}"), fmt)
-    meta = {
-        "classes": spec.n_classes,
-        "subspace_dim": spec.subspace_dim,
-        "ambient_dim": spec.ambient_dim,
-        "per_class_train": spec.per_class_train,
-        "per_class_test": spec.per_class_test,
-        "coeff_scale": spec.coeff_scale,
-        "seed": spec.seed,
-        "format": ext,
-    }
-    with open(os.path.join(args.out, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    ext = args.format
+    meta = {key: getattr(spec, attr) for key, attr in _SYNTHETIC_COUNTS.items()}
+    meta.update(coeff_scale=spec.coeff_scale, seed=spec.seed, format=ext)
+    with _file_errors(args.out, "write"):
+        os.makedirs(args.out, exist_ok=True)
+        save_matrix(train, os.path.join(args.out, f"train.{ext}"))
+        save_matrix(test, os.path.join(args.out, f"test.{ext}"))
+        with open(os.path.join(args.out, "meta.json"), "w") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     print(f"wrote train.{ext}, test.{ext}, meta.json to {args.out}")
     return 0
 
 
 def _cmd_classify(args):
-    try:
-        solver = SolverConfig(
-            lam=args.lam, mu=args.mu, epsilon=args.epsilon, max_iter=args.max_iter
-        )
-        spec = ClassifierSpec(args.method, args.lam, None, solver)
-    except ValueError as exc:
-        raise ConfigError(f"classify: {exc}") from exc
-    try:
+    spec = _build("classify", lambda: ClassifierSpec(
+        args.method, args.lam,
+        solver=SolverConfig(mu=args.mu, epsilon=args.epsilon, max_iter=args.max_iter),
+    ))
+    with _file_errors(args.train):
         train, query = load_matrix(args.train), load_matrix(args.query)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {exc.filename}: {exc.strerror}") from None
     if train.labels is None:
         raise ConfigError(f"training file {args.train} carries no labels")
     dictionary = Dictionary.from_samples(train.samples, train.labels)
@@ -474,8 +422,7 @@ def _cmd_bench(args):
     spec = load_experiment(args.config)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    out_dir = args.out if args.out is not None else spec.output
-    rows, summary = run_experiment(spec, out_dir)
+    rows, summary = run_experiment(spec, args.out)
     if args.format == "json":
         print(json.dumps(summary, indent=2, sort_keys=True))
     else:
@@ -485,11 +432,7 @@ def _cmd_bench(args):
 
 def _load_residuals(path):
     values = []
-    try:
-        fh = open(path)
-    except FileNotFoundError:
-        raise ConfigError(f"residual file not found: {path}") from None
-    with fh:
+    with _file_errors(path), open(path, errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -510,10 +453,7 @@ def _cmd_modecheck(args):
     if args.kernel == "epanechnikov":
         kernel = Kernel.epanechnikov()
     else:
-        try:
-            kernel = Kernel.gaussian(args.sigma)
-        except ValueError as exc:
-            raise ConfigError(f"modecheck: {exc}") from exc
+        kernel = _build("modecheck", Kernel.gaussian, args.sigma)
     if args.grid_points < 3:
         raise ConfigError("modecheck: --grid-points must be at least 3")
     samples = _load_residuals(args.residuals)
@@ -525,6 +465,14 @@ def _cmd_modecheck(args):
         print(f"mode {mode:.9g}")
         print(f"density {density:.9g}")
     return 0
+
+
+def _seed(text):
+    # argparse type of --seed; numpy's generators take no negative seed
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def _build_parser():
@@ -539,7 +487,7 @@ def _build_parser():
 
     g = sub.add_parser("gen", help="write a synthetic union-of-subspaces dataset")
     g.add_argument("--config", default=None, help="JSON file with generator fields")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--out", required=True, help="output directory")
     g.add_argument("--format", choices=["csv", "raw"], default="csv")
     g.set_defaults(handler=_cmd_gen)
@@ -558,7 +506,7 @@ def _build_parser():
 
     b = sub.add_parser("bench", help="run a methods x noise x repeats sweep")
     b.add_argument("--config", required=True)
-    b.add_argument("--seed", type=int, default=None, help="override the config seed")
+    b.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     b.add_argument("--out", default=None, help="override the config output directory")
     b.add_argument("--format", choices=["csv", "json"], default="csv")
     b.set_defaults(handler=_cmd_bench)

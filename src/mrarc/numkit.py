@@ -34,6 +34,11 @@ def as_matrix(x, name="matrix"):
 
 
 def check_positive(x, name):
-    """Reject a scalar setting that is not a finite positive number."""
+    """Reject a scalar setting that is not a finite positive number.
+
+    A boolean is not taken as the number 1: it raises TypeError.
+    """
+    if isinstance(x, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a number, got {x!r}")
     if not (x > 0.0 and math.isfinite(x)):
         raise ValueError(f"{name} must be positive and finite, got {x}")

@@ -4,9 +4,10 @@
 the c-update is the atomic prox, the z-update runs a short half-quadratic
 loop (reweighted ridge with weights exp(-e^2/(2 sigma^2)) / sigma^2), and the
 scaled multiplier closes the loop.  The HQ loop (``kernels.hq_inner``)
-stops once a pass moves z by at most ``hq_inner_tol`` (1 + ||z||_inf); on
-wide systems it also stops when a gradient bound shows the next pass would
-not move z that far, which on the benchmark galleries saves the second,
+stops once a pass moves z by at most 1e-6 (1 + ||z||_inf), or after 10
+passes (the module constants ``_HQ_TOL`` and ``_HQ_MAX_PASSES``); on wide
+systems it also stops when a gradient bound shows the next pass would not
+move z that far, which on the benchmark galleries saves the second,
 confirming pass of nearly every call.  ``solve_ar_squared`` is the same
 skeleton with the squared loss, whose z-update is a single prefactored
 linear solve.
@@ -53,6 +54,10 @@ from .numkit import as_matrix, as_vector, check_positive
 # Restart threshold of the accelerated ADMM loop: the momentum restarts when
 # the combined residual fails to fall to this share of its last value.
 _RESTART_ETA = 0.99
+# The half-quadratic z-step's stop test: a pass that moves z by at most
+# _HQ_TOL (1 + ||z||_inf) ends it, and so do _HQ_MAX_PASSES passes.
+_HQ_TOL = 1e-6
+_HQ_MAX_PASSES = 10
 
 
 @dataclass(frozen=True)
@@ -68,19 +73,15 @@ class SolverConfig:
     mu: float = 0.1
     epsilon: float = 1e-7
     max_iter: int = 100_000
-    hq_inner_tol: float = 1e-6
-    hq_inner_max: int = 10
     loss: object = field(default_factory=SquaredLoss)
 
     def __post_init__(self):
-        for name in ("lam", "mu", "epsilon", "hq_inner_tol"):
+        for name in ("lam", "mu", "epsilon"):
             check_positive(getattr(self, name), name)
-        for name in ("max_iter", "hq_inner_max"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise TypeError(f"max_iter must be an integer, got {self.max_iter!r}")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
         if not isinstance(self.loss, (ModalLoss, SquaredLoss)):
             raise TypeError(f"loss must be ModalLoss or SquaredLoss, got {self.loss!r}")
 
@@ -224,7 +225,6 @@ def _one_column(out, sigma):
 def _modal_admm(pairs, aset, cfg):
     impl = kernels.active()
     loss, mu = cfg.loss, cfg.mu
-    tol, passes = cfg.hq_inner_tol, int(cfg.hq_inner_max)
     n = pairs[0][0].shape[1]
     Xts = [np.ascontiguousarray(X.T) for X, _ in pairs]
     wb = [X.shape[0] < n for X, _ in pairs]
@@ -242,7 +242,7 @@ def _modal_admm(pairs, aset, cfg):
         X, y = pairs[j]
         z, _ = impl.hq_inner(
             X, Xts[j], XXts[j], y, c + u, mu, s, np.ascontiguousarray(z),
-            tol, passes, wb[j], e,
+            _HQ_TOL, _HQ_MAX_PASSES, wb[j], e,
         )
         return z
 

@@ -291,6 +291,31 @@ def test_spec_rejects_a_modal_loss_on_a_closed_form_method(method):
     ClassifierSpec(method, loss=SquaredLoss())  # the loss they use anyway
 
 
+@pytest.mark.parametrize(
+    "method, loss, solver_loss",
+    [
+        ("MRSRC", None, ModalLoss.fixed(0.5)),  # MRSRC resolves to the adaptive loss
+        ("MRSRC", ModalLoss.adaptive(1e-2), ModalLoss.adaptive()),
+        ("MRCRC", SquaredLoss(), ModalLoss.adaptive()),
+        ("SRC", None, ModalLoss.adaptive()),
+        ("CRC", None, ModalLoss.fixed(0.5)),
+    ],
+)
+def test_spec_rejects_a_solver_loss_it_would_replace(method, loss, solver_loss):
+    # classify runs the spec's loss, so a different ModalLoss in the solver
+    # settings would be dropped without a word
+    with pytest.raises(ValueError, match="conflicts"):
+        ClassifierSpec(method, loss=loss, solver=SolverConfig(loss=solver_loss))
+
+
+def test_spec_accepts_a_solver_loss_that_matches_its_own():
+    for method, loss in (("MRSRC", None), ("MRBSRC", ModalLoss.fixed(0.5)), ("MRCRC", None)):
+        solver_loss = loss if loss is not None else ModalLoss.adaptive()
+        ClassifierSpec(method, loss=loss, solver=SolverConfig(loss=solver_loss))
+    ClassifierSpec("SRC", solver=SolverConfig(loss=SquaredLoss()))
+    ClassifierSpec("MRSRC", solver=SolverConfig())  # the default squared loss is a placeholder
+
+
 @pytest.mark.parametrize("method", sorted(set(METHODS) - {"BSRC", "MRBSRC"}))
 def test_spec_rejects_a_block_partition_on_a_method_without_blocks(method):
     part = Partition.from_labels(np.repeat([0, 1], 2))

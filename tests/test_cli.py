@@ -15,8 +15,11 @@ from mrarc.cli import (
     parse_experiment,
     run_experiment,
 )
+from mrarc.classify import ClassifierSpec
 from mrarc.data import LabeledMatrix, load_matrix, save_matrix
 from mrarc.errors import ConfigError, MrarcError
+from mrarc.modal import ModalLoss
+from mrarc.solver import SolverConfig
 
 
 def _base_config(**overrides):
@@ -182,11 +185,101 @@ def test_method_keys_the_parser_does_not_use_are_rejected():
         ({"name": "CRC", "min_sigma": 0.1}, "min_sigma"),
         ({"name": "MRSRC", "min_sgima": 0.1}, "min_sgima"),
         ({"name": "SRC", "bogus": 1}, "bogus"),
+        # the HQ stop test is fixed in the solver, not a method setting
+        ({"name": "MRSRC", "hq_inner_tol": 1e-6}, "hq_inner_tol"),
+        ({"name": "MRBSRC", "hq_inner_max": 10}, "hq_inner_max"),
     ]
     for method, key in cases:
         cfg = _base_config(methods=[{"name": "LRC"}, method])
         with pytest.raises(ConfigError, match=rf"methods\[1\].*'{key}'"):
             parse_experiment(cfg)
+
+
+def test_method_object_passes_only_the_keys_it_gives():
+    spec = parse_experiment(_base_config(methods=[
+        {"name": "SRC", "lam": 0.01, "mu": 0.5}, {"name": "MRSRC"},
+    ]))
+    src, mrsrc = spec.methods
+    # lam lives on the spec; every unset solver setting keeps its default
+    assert (src.lam, src.solver) == (0.01, SolverConfig(mu=0.5))
+    assert (mrsrc.lam, mrsrc.solver) == (ClassifierSpec("MRSRC").lam, SolverConfig())
+    assert mrsrc.loss == ModalLoss.adaptive()
+
+
+def _set(cfg, path, value):
+    # cfg with the key at ``path`` (a tuple of keys and indices) set to value
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+_NUMERIC_KEYS = [
+    ("methods", 0, "lam"),
+    ("methods", 0, "mu"),
+    ("methods", 0, "epsilon"),
+    ("methods", 0, "max_iter"),
+    ("methods", 0, "sigma"),
+    ("methods", 0, "min_sigma"),
+    ("repeats",),
+    ("seed",),
+    ("noise", 0, "fraction"),
+    ("data", "synthetic", "classes"),
+    ("data", "synthetic", "subspace_dim"),
+    ("data", "synthetic", "ambient_dim"),
+    ("data", "synthetic", "per_class_train"),
+    ("data", "synthetic", "per_class_test"),
+    ("data", "synthetic", "coeff_scale"),
+]
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("path", _NUMERIC_KEYS, ids=lambda p: ".".join(map(str, p)))
+def test_json_booleans_are_not_numbers(path, flag):
+    cfg = _base_config(methods=[{"name": "MRSRC"}])
+    with pytest.raises(ConfigError, match=f"'{path[-1]}' has the wrong type"):
+        parse_experiment(_set(cfg, path, flag))
+
+
+@pytest.mark.parametrize(
+    "key", ["classes", "subspace_dim", "ambient_dim", "per_class_train", "per_class_test",
+            "coeff_scale"],
+)
+def test_gen_config_rejects_booleans(tmp_path, capsys, key):
+    cfg = _write_json(tmp_path, {key: True})
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: gen config: field '{key}' has the wrong type\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "path, value, key",
+    [
+        (("noise", 0, "range"), ["a", 1], "range"),
+        (("noise", 0, "range"), [0, True], "range"),
+        (("data", "image_shape"), ["a", 4], "image_shape"),
+        (("data", "image_shape"), [4.0, 4], "image_shape"),
+    ],
+    ids=["range_str", "range_bool", "image_shape_str", "image_shape_float"],
+)
+def test_two_entry_fields_check_their_entries(path, value, key):
+    with pytest.raises(ConfigError, match=f"'{key}' has the wrong type"):
+        parse_experiment(_set(_base_config(), path, value))
+
+
+def test_errors_carry_their_prefix_once(tmp_path, capsys):
+    cfg = _base_config()
+    del cfg["data"]["synthetic"]["classes"]
+    noise = [{"kind": "block_occlusion", "fraction": 0.1, "fill": 3}]
+    for bad, where in ((cfg, "data.synthetic:"), (_base_config(noise=noise), "noise[0]:")):
+        with pytest.raises(ConfigError) as info:
+            parse_experiment(bad)
+        assert str(info.value).count(where) == 1, str(info.value)
+    for obj in ({"classes": "five"}, {"classes": 0}):
+        gen = _write_json(tmp_path, obj)
+        assert main(["gen", "--config", str(gen), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.count("gen config:") == 1, obj
 
 
 def test_load_experiment_missing_file_names_path(tmp_path):
@@ -405,18 +498,49 @@ def test_main_exit_code_for_config_problems(tmp_path, capsys):
     train, query = str(out / "train.csv"), str(out / "test.csv")
     resid = tmp_path / "resid.txt"
     resid.write_text("0.1\n0.2\n0.4\n")
+    a_dir = tmp_path / "a_dir"
+    a_dir.mkdir()
+    a_file = str(resid)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_base_config()))
+    bad_range = tmp_path / "range.json"
+    bad_range.write_text(json.dumps(_base_config(
+        noise=[{"kind": "pixel_corruption", "fraction": 0.1, "range": ["a", 1]}])))
+    bad_shape = tmp_path / "shape.json"
+    cfg = _base_config()
+    cfg["data"]["image_shape"] = ["a", 4]
+    bad_shape.write_text(json.dumps(cfg))
     capsys.readouterr()
-    for argv in (
-        ["classify", "--train", train, "--query", query, "--lam", "-1"],
-        ["classify", "--train", train, "--query", query, "--max-iter", "0"],
-        ["classify", "--train", str(tmp_path / "no.csv"), "--query", query],
-        ["classify", "--train", train, "--query", str(tmp_path / "no.csv")],
-        ["modecheck", str(resid), "--sigma", "-1"],
-        ["modecheck", str(resid), "--grid-points", "2"],
+    for argv, named in (
+        (["classify", "--train", train, "--query", query, "--lam", "-1"], "lam"),
+        (["classify", "--train", train, "--query", query, "--max-iter", "0"], "max_iter"),
+        (["classify", "--train", str(tmp_path / "no.csv"), "--query", query], "no.csv"),
+        (["classify", "--train", train, "--query", str(tmp_path / "no.csv")], "no.csv"),
+        (["modecheck", str(resid), "--sigma", "-1"], "sigma"),
+        (["modecheck", str(resid), "--grid-points", "2"], "grid-points"),
+        (["bench", "--config", str(a_dir)], "a_dir"),
+        (["gen", "--config", str(a_dir), "--out", str(tmp_path / "g")], "a_dir"),
+        (["modecheck", str(a_dir)], "a_dir"),
+        (["gen", "--out", a_file], "resid.txt"),
+        (["bench", "--config", str(good), "--out", a_file], "resid.txt"),
+        (["bench", "--config", str(bad_range)], "'range'"),
+        (["bench", "--config", str(bad_shape)], "'image_shape'"),
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:"), argv
+        assert err.count("\n") == 1 and named in err, (argv, err)
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_base_config()))
+    for argv in (["gen", "--out", str(tmp_path / "out"), "--seed", "-1"],
+                 ["bench", "--config", str(cfg), "--seed", "-3"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        assert "--seed: must be nonnegative" in capsys.readouterr().err, argv
 
 
 def test_main_reports_non_finite_input_without_a_traceback(tmp_path, capsys):

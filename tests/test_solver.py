@@ -7,7 +7,7 @@ from mrarc import kernels
 from mrarc.atomic import AtomicSet, Partition
 from mrarc.classify import ClassifierSpec
 from mrarc.errors import DimensionMismatch, NotSPD, ShapeMismatch
-from mrarc.modal import ModalLoss, mrlf
+from mrarc.modal import Kernel, ModalLoss, mrlf
 from mrarc.solver import (
     SolverConfig,
     SquaredLoss,
@@ -54,20 +54,14 @@ def test_solver_config_validation():
         SolverConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(hq_inner_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(hq_inner_max=0)
     with pytest.raises(TypeError):
         SolverConfig(loss="huber")
 
 
 @pytest.mark.parametrize(
     "settings",
-    [{"max_iter": 2.7}, {"max_iter": True}, {"max_iter": 5.0}, {"hq_inner_max": "3"},
-     {"hq_inner_max": 2.5}, {"hq_inner_max": False}],
-    ids=["max_iter_float", "max_iter_bool", "max_iter_whole_float", "hq_inner_max_str",
-         "hq_inner_max_float", "hq_inner_max_bool"],
+    [{"max_iter": 2.7}, {"max_iter": True}, {"max_iter": 5.0}],
+    ids=["max_iter_float", "max_iter_bool", "max_iter_whole_float"],
 )
 def test_solver_config_rejects_non_integer_iteration_limits(settings):
     with pytest.raises(TypeError, match="integer"):
@@ -75,8 +69,7 @@ def test_solver_config_rejects_non_integer_iteration_limits(settings):
 
 
 def test_solver_config_accepts_numpy_integer_iteration_limits():
-    cfg = SolverConfig(max_iter=np.int64(7), hq_inner_max=np.int32(3))
-    assert (cfg.max_iter, cfg.hq_inner_max) == (7, 3)
+    assert SolverConfig(max_iter=np.int64(7)).max_iter == 7
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -86,16 +79,36 @@ def test_solver_config_accepts_numpy_integer_iteration_limits():
         lambda v: SolverConfig(lam=v),
         lambda v: SolverConfig(mu=v),
         lambda v: SolverConfig(epsilon=v),
-        lambda v: SolverConfig(hq_inner_tol=v),
         lambda v: ClassifierSpec("SRC", lam=v),
         lambda v: solve_crc(np.eye(2), np.ones(2), v),
         lambda v: ModalLoss.adaptive(v),
     ],
-    ids=["lam", "mu", "epsilon", "hq_inner_tol", "spec_lam", "crc_lam", "min_sigma"],
+    ids=["lam", "mu", "epsilon", "spec_lam", "crc_lam", "min_sigma"],
 )
 def test_non_finite_settings_rejected(make, bad):
     with pytest.raises(ValueError, match="finite"):
         make(bad)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_], ids=["true", "false", "np_true"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: SolverConfig(lam=v),
+        lambda v: SolverConfig(mu=v),
+        lambda v: SolverConfig(epsilon=v),
+        lambda v: ClassifierSpec("SRC", lam=v),
+        lambda v: solve_crc(np.eye(2), np.ones(2), v),
+        lambda v: ModalLoss(sigma=v),
+        lambda v: ModalLoss.adaptive(v),
+        lambda v: Kernel("gaussian", v),
+    ],
+    ids=["lam", "mu", "epsilon", "spec_lam", "crc_lam", "sigma", "min_sigma", "kernel_sigma"],
+)
+def test_boolean_settings_rejected(make, flag):
+    # True would otherwise pass as the number 1
+    with pytest.raises(TypeError, match="number"):
+        make(flag)
 
 
 def test_solver_loss_type_enforced():
