@@ -2,10 +2,10 @@
 
 The package fits atomic-norm-regularized representation models whose data
 term is a correntropy-style modal regression loss, solved by ADMM with
-half-quadratic inner iterations, and classifies queries by class-wise
-reconstruction residuals.  Squared-loss counterparts of every model are
-included as baselines, together with synthetic data generation, noise
-injection, file IO, and a benchmark CLI.
+one half-quadratic reweighting per iteration, and classifies queries by
+class-wise reconstruction residuals.  Squared-loss counterparts of every
+model are included as baselines, together with synthetic data generation,
+noise injection, file IO, and a benchmark CLI.
 
 The hot numeric kernels (:mod:`mrarc.kernels`) are one numpy set whose ridge
 solves call LAPACK ``posv``/``potrs`` directly.

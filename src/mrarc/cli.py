@@ -11,7 +11,8 @@ that cannot be written (any ``OSError`` on it); each is reported as one
 
 Config fields are read by one typed reader: a JSON boolean is never taken
 as a number, and a method object passes only the keys it gives, so every
-other setting keeps the library's default.
+other setting keeps the library's default.  A key that its object does not
+take (a misspelt one, say) is a configuration problem, not a default.
 
 Benchmark rows are sorted by (method, noise level, repeat) and every random
 draw is derived from the config seed, so a rerun of the same config writes
@@ -92,11 +93,18 @@ _GEN_COUNTS = {
 }
 _SOLVER_KEYS = {"mu": float, "epsilon": float, "max_iter": int}
 _BANDWIDTH_KEYS = {"sigma": float, "min_sigma": float}
-# noise kind -> its class and that class's field for the JSON key "range"
+# noise kind -> its class, that class's field for the JSON key "range", and
+# the keys only that kind takes
 _NOISE_KINDS = {
-    "pixel_corruption": (PixelCorruption, "value_range"),
-    "block_occlusion": (BlockOcclusion, "fill_range"),
+    "pixel_corruption": (PixelCorruption, "value_range", {}),
+    "block_occlusion": (BlockOcclusion, "fill_range", {"fill": str}),
 }
+# the keys each config object takes; any other is reported, not ignored
+_CONFIG_KEYS = ("data", "noise", "methods", "repeats", "seed", "record_timing", "output")
+_DATA_KEYS = ("synthetic", "train", "test", "image_shape")
+_SYNTHETIC_KEYS = (*_SYNTHETIC_COUNTS, "coeff_scale")
+_NOISE_KEYS = ("kind", "fraction", "range")
+_METHOD_KEYS = ("name", "lam", *_SOLVER_KEYS, *_BANDWIDTH_KEYS)
 
 
 def _field(obj, key, kind, where, default=_REQUIRED):
@@ -134,9 +142,13 @@ def _fields(obj, kinds, where):
     }
 
 
-def _object(value, where):
+def _object(value, where, keys=None):
+    """``value``, which must be a JSON object; given ``keys``, it may set no other."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where}: must be a JSON object")
+    for key in value:
+        if keys is not None and key not in keys:
+            raise ConfigError(f"{where}: unknown field '{key}'")
     return value
 
 
@@ -169,6 +181,7 @@ def _load_json(path):
 
 
 def _parse_synthetic(obj, where, defaults, seed=0):
+    _object(obj, where, _SYNTHETIC_KEYS)
     counts = {
         attr: _field(obj, key, int, where, defaults.get(key, _REQUIRED))
         for key, attr in _SYNTHETIC_COUNTS.items()
@@ -178,7 +191,7 @@ def _parse_synthetic(obj, where, defaults, seed=0):
 
 
 def _parse_data(cfg):
-    data = _field(cfg, "data", dict, "config")
+    data = _object(_field(cfg, "data", dict, "config"), "data", _DATA_KEYS)
     image_shape = _field(data, "image_shape", _SHAPE, "data", None)
     if "synthetic" not in data:
         train, test = (_field(data, key, str, "data") for key in ("train", "test"))
@@ -199,16 +212,16 @@ def _parse_noise(cfg):
         kind = _field(_object(lv, where), "kind", str, where)
         if kind not in _NOISE_KINDS:
             raise ConfigError(f"{where}: unknown noise kind {kind!r}")
-        make, range_field = _NOISE_KINDS[kind]
+        make, range_field, extra = _NOISE_KINDS[kind]
+        _object(lv, where, (*_NOISE_KEYS, *extra))
         opts = {range_field: span for span in _fields(lv, {"range": _RANGE}, where).values()}
-        if make is BlockOcclusion:
-            opts.update(_fields(lv, {"fill": str}, where))
+        opts.update(_fields(lv, extra, where))
         out.append(_build(where, make, _field(lv, "fraction", float, where), **opts))
     return tuple(out)
 
 
 def _parse_method(mc, where):
-    name = _field(_object(mc, where), "name", str, where)
+    name = _field(_object(mc, where, _METHOD_KEYS), "name", str, where)
     if name not in METHODS:
         raise ConfigError(f"{where}: unknown method name {name!r}")
     if name in MULTIMODAL_METHODS:
@@ -216,9 +229,6 @@ def _parse_method(mc, where):
             f"{where}: method {name!r} needs multimodal data and is not "
             "available through the benchmark runner"
         )
-    for key in mc:
-        if key not in ("name", "lam", *_SOLVER_KEYS, *_BANDWIDTH_KEYS):
-            raise ConfigError(f"{where}: unknown field '{key}'")
     lam = _fields(mc, {"lam": float}, where)
     settings = _fields(mc, _SOLVER_KEYS, where)
     bandwidth = _fields(mc, _BANDWIDTH_KEYS, where)
@@ -242,7 +252,7 @@ def _parse_methods(cfg):
 
 def parse_experiment(cfg):
     """Build a validated ExperimentSpec from a decoded JSON object."""
-    _object(cfg, "config")
+    _object(cfg, "config", _CONFIG_KEYS)
     synthetic, train, test, image_shape = _parse_data(cfg)
     noise = _parse_noise(cfg)
     methods = _parse_methods(cfg)
@@ -380,7 +390,7 @@ def _write_outputs(rows, summary, out_dir):
 
 
 def _cmd_gen(args):
-    cfg = {} if args.config is None else _object(_load_json(args.config), "gen config")
+    cfg = {} if args.config is None else _load_json(args.config)
     spec = _parse_synthetic(cfg, "gen config", _GEN_COUNTS, seed=args.seed)
     train, test = gen_subspace_data(spec)
     ext = args.format

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryMismatch, InvalidSpec, MagicMismatch, ParseError
-from .numkit import as_matrix
+from .numkit import as_matrix, check_integer
 
 RAW_MAGIC = b"MRARC1"
 CSV = "csv"
@@ -40,6 +40,11 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_classes", "subspace_dim", "ambient_dim", "per_class_train",
+                     "per_class_test"):
+            check_integer(getattr(self, name), name)
+        if isinstance(self.coeff_scale, (bool, np.bool_)):
+            raise TypeError(f"coeff_scale must be a number, got {self.coeff_scale!r}")
         if self.n_classes < 1:
             raise InvalidSpec("need at least one class")
         if self.subspace_dim < 1:

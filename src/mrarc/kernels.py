@@ -21,22 +21,15 @@ system is not positive definite.  ``hq_inner`` takes an optional trailing
 ``e0``, the residual y - X z0 the caller already has, which its first pass
 then uses instead of computing it again.
 
-``hq_inner`` stops after the first pass that moves z by at most
-tol (1 + ||z||_inf).  In the dual form (m < n) it can stop one pass earlier,
-on a bound that needs no factorization (half-quadratic theory: Nikolova and
-Ng, "Analysis of Half-Quadratic Minimization Methods for Signal and Image
-Recovery", SIAM J. Sci. Comput. 2005).  Pass k returns z_k, solved with the
-weights w_{k-1}; the residual e_k = y - X z_k and the weights w_k are what
-pass k + 1 would start from.  Since z_k solves its own system, the gradient
-of the z-step objective at z_k is -X^T q with q = (w_k - w_{k-1}) e_k, and
-pass k + 1 would move z by (X^T W_k X + mu I)^{-1} X^T q, no more than
-B = ||X^T q||_2 / mu in any entry.  ||X^T q||_2^2 = q^T (X X^T) q is one
-m x m product with the Gram matrix the dual form holds anyway.  When
-B (1 + tol) <= tol (1 + ||z_k||_inf), pass k + 1's step test would pass, so
-z_k is returned; it differs from that pass's result by at most B.  The
-primal form (m >= n) keeps the plain step test: it has no m x m Gram
-matrix, and on tall galleries the loop takes several real passes, so the
-bound would nearly always be computed in vain.
+``hq_inner`` stops after ``max_passes`` passes, or earlier after the first
+pass that moves z by at most tol (1 + ||z||_inf).  The modal solvers call it
+with one pass per ADMM iteration: one reweighted ridge solve, weighted at
+the point the iteration steps from.  Since the weights satisfy
+rho'(e) = w(e) e (Nikolova and Ng, SIAM J. Sci. Comput. 2005), a z that one
+pass leaves in place is a stationary point of the z-step, so the ADMM loop
+has the fixed points it would have with the z-step solved through (see
+``mrarc.solver``).  Further passes and the step test serve callers that do
+solve it through.
 """
 
 from types import SimpleNamespace
@@ -98,10 +91,6 @@ def _hq_inner(X, Xt, XXt, y, v, mu, sigma, z0, tol, max_passes, woodbury, e0=Non
     # Alternates the weight update w_i = exp(-e_i^2/(2 sigma^2)) / sigma^2 with
     # the weighted ridge solve (X^T W X + mu I) z = X^T W y + mu v.  The first
     # pass takes its residual y - X z0 from e0 when given (it is not modified).
-    # A pass whose step test fails computes the next pass's residual e and
-    # weights w_next at once; in the dual form it then stops if the gradient
-    # bound of the module docstring holds, B (1 + tol) <= tol (1 + ||z||_inf),
-    # compared squared so that no square root is taken.
     m = X.shape[0]
     neg_inv_two_s2 = -1.0 / (2.0 * sigma * sigma)
     inv_s2 = 1.0 / (sigma * sigma)
@@ -126,19 +115,10 @@ def _hq_inner(X, Xt, XXt, y, v, mu, sigma, z0, tol, max_passes, woodbury, e0=Non
             M = Xt @ (X * w[:, None])
             M.ravel()[:: M.shape[0] + 1] += mu
             z_new = _posv(M, b)
-        dz = np.abs(z_new - z).max()
-        z = z_new
-        zmax = np.abs(z).max()
-        if dz <= tol * (1.0 + zmax) or passes == max_passes:
+        z, z_old = z_new, z
+        if passes == max_passes or np.abs(z - z_old).max() <= tol * (1.0 + np.abs(z).max()):
             break
-        e = y - X @ z
-        w_next = _hq_weights(e, neg_inv_two_s2, inv_s2)
-        if woodbury:
-            q = w_next - w
-            q *= e
-            if (q @ (XXt @ q)) * (1.0 + tol) ** 2 <= (tol * mu * (1.0 + zmax)) ** 2:
-                break
-        w = w_next
+        w = _hq_weights(y - X @ z, neg_inv_two_s2, inv_s2)
     return z, passes
 
 

@@ -30,10 +30,11 @@ class Kernel:
         if self.kind not in (GAUSSIAN, EPANECHNIKOV):
             raise UnsupportedKernel(f"unknown kernel kind {self.kind!r}")
         check_positive(self.sigma, "sigma")
+        object.__setattr__(self, "sigma", float(self.sigma))
 
     @classmethod
     def gaussian(cls, sigma=1.0):
-        return cls(GAUSSIAN, float(sigma))
+        return cls(GAUSSIAN, sigma)
 
     @classmethod
     def epanechnikov(cls):
@@ -56,6 +57,7 @@ class ModalLoss:
     def __post_init__(self):
         if self.sigma is not None:
             check_positive(self.sigma, "sigma")
+            object.__setattr__(self, "sigma", float(self.sigma))
         if self.min_sigma is not None:
             check_positive(self.min_sigma, "min_sigma")
             if self.sigma is not None:
@@ -63,7 +65,7 @@ class ModalLoss:
 
     @classmethod
     def fixed(cls, sigma):
-        return cls(float(sigma))
+        return cls(sigma)
 
     @classmethod
     def adaptive(cls, min_sigma=None):

@@ -3,10 +3,12 @@
 Vectors are 1-D float64 arrays and matrices are 2-D C-contiguous float64
 arrays; ``as_vector``/``as_matrix`` coerce inputs and reject non-finite
 entries so nothing downstream has to re-check.  ``check_positive`` does the
-same for scalar settings such as a penalty or a bandwidth.
+same for scalar settings such as a penalty or a bandwidth, and
+``check_integer`` for counts and limits.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -42,3 +44,9 @@ def check_positive(x, name):
         raise TypeError(f"{name} must be a number, got {x!r}")
     if not (x > 0.0 and math.isfinite(x)):
         raise ValueError(f"{name} must be positive and finite, got {x}")
+
+
+def check_integer(x, name):
+    """Reject a count or limit that is not an integer (numpy's pass, bool does not)."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {x!r}")

@@ -1,16 +1,22 @@
 """ADMM solvers for atomic-norm-regularized regression.
 
 ``solve_mrar`` minimizes mrlf(y - Xc) + lambda * N_A(c) by splitting c = z:
-the c-update is the atomic prox, the z-update runs a short half-quadratic
-loop (reweighted ridge with weights exp(-e^2/(2 sigma^2)) / sigma^2), and the
-scaled multiplier closes the loop.  The HQ loop (``kernels.hq_inner``)
-stops once a pass moves z by at most 1e-6 (1 + ||z||_inf), or after 10
-passes (the module constants ``_HQ_TOL`` and ``_HQ_MAX_PASSES``); on wide
-systems it also stops when a gradient bound shows the next pass would not
-move z that far, which on the benchmark galleries saves the second,
-confirming pass of nearly every call.  ``solve_ar_squared`` is the same
-skeleton with the squared loss, whose z-update is a single prefactored
-linear solve.
+the c-update is the atomic prox, the z-update is one half-quadratic (HQ)
+reweighting, and the scaled multiplier closes the loop.  The z-update takes
+the weights w_i = exp(-e_i^2/(2 sigma^2)) / sigma^2 of the residual e at the
+point the iteration steps from (the residual the bandwidth refresh has
+already computed) and solves one weighted ridge system,
+(X^T W X + mu I) z = X^T W y + mu v: one pass of ``kernels.hq_inner``.
+The HQ weights satisfy rho'(e) = w(e) e for the modal loss rho (Nikolova
+and Ng, "Analysis of Half-Quadratic Minimization Methods for Signal and
+Image Recovery", SIAM J. Sci. Comput. 2005), so at a point where the
+iterates stop moving the weighted ridge equation is the z-step's own
+stationarity condition: one pass per iteration has the fixed points of
+the exact z-step.  Solving the z-step through, with an HQ loop inside
+every iteration, bought nothing at convergence; it cost several ridge
+solves per iteration and drove the adaptive bandwidth to its floor.
+``solve_ar_squared`` is the same skeleton with the squared loss, whose
+z-update is a single prefactored linear solve.
 One loop, ``_admm``, serves all four iterative solvers: it runs over an n x V
 coefficient matrix, one column per modality, and the unimodal solvers are
 the case V = 1.  Iteration stops when both ||c - z||_inf and the c step drop
@@ -19,7 +25,7 @@ below epsilon.
 Each iteration computes only what the next iterate or the stop test needs:
 the history keeps the gap, the step and the bandwidth, which the loop has at
 hand, and no objective.  The residual y - X z behind an adaptive bandwidth
-is handed on to the first half-quadratic pass, and whether the shrink's
+is handed on to the half-quadratic pass, and whether the shrink's
 block layout is in identity order is settled once per solve.
 
 Every solve runs with restarted Nesterov momentum on z and the dual
@@ -39,7 +45,6 @@ cost at O(m^2 n) instead of O(n^2 m).
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -49,15 +54,11 @@ from . import kernels
 from .atomic import JOINT_ROWS, vector_prox_arrays
 from .errors import DimensionMismatch, EmptyInput, NotSPD, ShapeMismatch
 from .modal import ModalLoss, default_sigma_floor
-from .numkit import as_matrix, as_vector, check_positive
+from .numkit import as_matrix, as_vector, check_integer, check_positive
 
 # Restart threshold of the accelerated ADMM loop: the momentum restarts when
 # the combined residual fails to fall to this share of its last value.
 _RESTART_ETA = 0.99
-# The half-quadratic z-step's stop test: a pass that moves z by at most
-# _HQ_TOL (1 + ||z||_inf) ends it, and so do _HQ_MAX_PASSES passes.
-_HQ_TOL = 1e-6
-_HQ_MAX_PASSES = 10
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,7 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("lam", "mu", "epsilon"):
             check_positive(getattr(self, name), name)
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
-            raise TypeError(f"max_iter must be an integer, got {self.max_iter!r}")
+        check_integer(self.max_iter, "max_iter")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not isinstance(self.loss, (ModalLoss, SquaredLoss)):
@@ -146,7 +146,10 @@ def _admm(pairs, aset, cfg, impl, zstep, sigma, floors=None):
     returned C meets -grad f(C) in lam dN(C) up to
     L ||Z - C||_inf + mu ||Z - Z_hat||_inf, L bounding the inf-norm of the
     loss Hessian.  The second term is the momentum's own share: plain ADMM
-    would have the previous Z in place of Z_hat.
+    would have the previous Z in place of Z_hat.  The modal z-step is one HQ
+    pass weighted at Z_hat, so its dual is the gradient at Z of the
+    quadratic surrogate at Z_hat; it differs from the loss gradient by a
+    term that also vanishes with ||Z - Z_hat||.
     """
     n, nmod = pairs[0][0].shape[1], len(pairs)
     mu, lam, eps = cfg.mu, cfg.lam, cfg.epsilon
@@ -240,10 +243,8 @@ def _modal_admm(pairs, aset, cfg):
 
     def zstep(j, c, u, d, z, s, e):
         X, y = pairs[j]
-        z, _ = impl.hq_inner(
-            X, Xts[j], XXts[j], y, c + u, mu, s, np.ascontiguousarray(z),
-            _HQ_TOL, _HQ_MAX_PASSES, wb[j], e,
-        )
+        # one HQ pass, weighted at the point stepped from (tol is unused)
+        z, _ = impl.hq_inner(X, Xts[j], XXts[j], y, c + u, mu, s, z, 0.0, 1, wb[j], e)
         return z
 
     sigma = [loss.sigma] * len(pairs)

@@ -258,3 +258,17 @@ def group_subgradient_gap(C, G, lam, groups):
             if gnrm > lam:
                 worst = max(worst, float((1.0 - lam / gnrm) * np.max(np.abs(gg))))
     return worst
+
+
+def modal_first_order_residual(Xs, ys, C, sigmas, lam, groups):
+    """Residual of the modal first-order condition at C, and its Hessian bound.
+
+    Column j of the n x V matrix C codes y_j over X_j with bandwidth
+    sigma_j, for j < V (so Xs, ys and sigmas hold V entries).  Returns the ``group_subgradient_gap`` of the modal gradients
+    at C, and L = max_j ||X_j^T X_j||_inf / sigma_j^2, which bounds the
+    inf-norm of every column's loss Hessian.
+    """
+    cols = list(zip(Xs, ys, sigmas))
+    G = np.column_stack([modal_gradient(X, y, C[:, j], s) for j, (X, y, s) in enumerate(cols)])
+    L = max(float(np.max(np.sum(np.abs(X.T @ X), axis=1))) / s**2 for X, _, s in cols)
+    return group_subgradient_gap(C, G, lam, groups), L

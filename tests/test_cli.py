@@ -195,6 +195,32 @@ def test_method_keys_the_parser_does_not_use_are_rejected():
             parse_experiment(cfg)
 
 
+@pytest.mark.parametrize(
+    "path, key",
+    [
+        (("repeat",), "config: unknown field 'repeat'"),
+        (("data", "trian"), "data: unknown field 'trian'"),
+        (("data", "synthetic", "clases"), "data.synthetic: unknown field 'clases'"),
+        (("noise", 0, "rnage"), "noise[0]: unknown field 'rnage'"),
+        (("noise", 0, "fill"), "noise[0]: unknown field 'fill'"),
+    ],
+    ids=["top_level", "data", "synthetic", "noise", "noise_kind"],
+)
+def test_config_keys_the_parser_does_not_use_are_rejected(tmp_path, capsys, path, key):
+    # a misspelt key must not fall back to a default without a word; fill
+    # belongs to block_occlusion, not to the base config's pixel_corruption
+    cfg = _write_json(tmp_path, _set(_base_config(), path, 4))
+    assert main(["bench", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {key}\n"
+
+
+def test_gen_config_keys_the_generator_does_not_use_are_rejected(tmp_path, capsys):
+    cfg = _write_json(tmp_path, {"clases": 3})
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: gen config: unknown field 'clases'\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_method_object_passes_only_the_keys_it_gives():
     spec = parse_experiment(_base_config(methods=[
         {"name": "SRC", "lam": 0.01, "mu": 0.5}, {"name": "MRSRC"},

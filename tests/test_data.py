@@ -88,6 +88,28 @@ def test_spec_validation():
         SyntheticSpec(2, 2, 10, 3, 1, coeff_scale=0.0)
 
 
+_COUNTS = ("n_classes", "subspace_dim", "ambient_dim", "per_class_train", "per_class_test")
+
+
+@pytest.mark.parametrize(
+    "bad", [True, np.True_, 3.0, 2.5, "3"], ids=["bool", "np_bool", "whole_float", "float", "str"]
+)
+@pytest.mark.parametrize("field", _COUNTS)
+def test_spec_counts_must_be_integers(field, bad):
+    # True would otherwise pass as the count 1, and 3.0 as 3
+    counts = dict(zip(_COUNTS, (2, 2, 10, 3, 1)))
+    with pytest.raises(TypeError, match=f"{field} must be an integer"):
+        SyntheticSpec(**{**counts, field: bad})
+    counts[field] = np.int64(counts[field])  # numpy integers are integers
+    assert SyntheticSpec(**counts) == SyntheticSpec(2, 2, 10, 3, 1)
+
+
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_spec_coeff_scale_is_no_boolean(flag):
+    with pytest.raises(TypeError, match="coeff_scale must be a number"):
+        SyntheticSpec(2, 2, 10, 3, 1, coeff_scale=flag)
+
+
 def test_labeled_matrix_validation():
     with pytest.raises(ValueError):
         LabeledMatrix(np.eye(3), np.array([0, 1]))
