@@ -8,10 +8,12 @@ wrap the namespace it returns, for instance to trace the calls.
 
 The shrinkage kernels compute the update as ``z - gamma * (z / norm)`` and
 zero every group whose computed norm does not exceed gamma.  ``block_shrink``
-takes two fast paths with the same result bit for bit: singleton blocks
-(``bounds`` one longer than ``z``) shrink elementwise with the norm ``|z|``,
-which is the scalar soft threshold, and ``order=None`` stands for the
-identity order, which needs no gather or scatter.
+takes three fast paths.  Singleton blocks (``bounds`` one longer than ``z``)
+shrink as ``z - clip(z, -gamma, gamma)``, the scalar soft threshold, bit for
+bit the general path's result with ``+0.0`` for a zeroed entry; a single
+block (``bounds`` of length 2, the collaborative set) takes its norm as one
+dot product; and ``order=None`` stands for the identity order, which needs
+no gather or scatter and gives the general path's result bit for bit.
 
 The HQ passes of ``hq_inner`` solve their ridge system with one LAPACK
 ``posv`` call each, and ``squared_zstep`` applies a kept factor with
@@ -20,6 +22,18 @@ numpy and scipy wrappers, and raise ``numpy.linalg.LinAlgError`` when a
 system is not positive definite.  ``hq_inner`` takes an optional trailing
 ``e0``, the residual y - X z0 the caller already has, which its first pass
 then uses instead of computing it again.
+
+On wide systems (``woodbury``, m < n) a pass solves the m x m dual form.
+With D = W^{1/2} the diagonal of square-rooted weights
+sqrt(w_i) = exp(-e_i^2/(4 sigma^2)) / sigma, it factors
+S = D X X^T D + mu I, solves S a = D (y - X v) and sets z = v + X^T D a,
+which solves (X^T W X + mu I) z = X^T W y + mu v exactly.  That is two
+m x n products a pass, and its relative backward error stays near 1e-16 at
+every bandwidth, outliers whose weights underflow to 0 included.  The
+textbook elimination z = (X^T W y + mu v - X^T u) / mu needs a third
+product and cancels terms of size 1/sigma^2: its backward error grows from
+about 1e-14 at sigma 0.5 to 2e-7 at sigma 1e-4, above a default
+``epsilon`` of 1e-7.  Tall systems solve the n x n primal system.
 
 ``hq_inner`` stops after ``max_passes`` passes, or earlier after the first
 pass that moves z by at most tol (1 + ||z||_inf).  The modal solvers call it
@@ -32,6 +46,7 @@ has the fixed points it would have with the z-step solved through (see
 solve it through.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,8 +55,15 @@ from scipy.linalg.lapack import dposv, dpotrs
 
 def _block_shrink(z, order, bounds, gamma):
     if bounds.size == z.size + 1:
-        # singletons: no gather needed whatever the order; z / |z| is sign(z)
-        return np.where(np.abs(z) > gamma, z - gamma * np.sign(z), 0.0)
+        # singletons, in any order: z - clip(z, -gamma, gamma) is the scalar
+        # soft threshold, +0.0 where |z| <= gamma
+        out = np.maximum(z, -gamma)
+        np.minimum(out, gamma, out=out)
+        return np.subtract(z, out, out=out)
+    if bounds.size == 2:
+        # one block, in any order: a scalar norm needs no gather
+        norm = math.sqrt(z.dot(z))
+        return z - gamma * (z / norm) if norm > gamma else np.zeros_like(z)
     zo = z if order is None else z[order]
     norms = np.sqrt(np.add.reduceat(zo * zo, bounds[:-1]))
     # a block that goes to zero divides by gamma instead of its norm, which
@@ -79,7 +101,8 @@ def _potrs(L, b):
 
 
 def _hq_weights(r, neg_inv_two_s2, inv_s2):
-    # w_i = exp(-r_i^2 / (2 sigma^2)) / sigma^2, in one fresh array
+    # w_i = exp(-r_i^2 / (2 sigma^2)) / sigma^2, in one fresh array; given
+    # -1/(4 sigma^2) and 1/sigma instead, sqrt(w_i)
     w = r * r
     w *= neg_inv_two_s2
     np.exp(w, out=w)
@@ -90,35 +113,40 @@ def _hq_weights(r, neg_inv_two_s2, inv_s2):
 def _hq_inner(X, Xt, XXt, y, v, mu, sigma, z0, tol, max_passes, woodbury, e0=None):
     # Alternates the weight update w_i = exp(-e_i^2/(2 sigma^2)) / sigma^2 with
     # the weighted ridge solve (X^T W X + mu I) z = X^T W y + mu v.  The first
-    # pass takes its residual y - X z0 from e0 when given (it is not modified).
+    # pass takes its residual e = y - X z0 from e0 when given (it is not
+    # modified).  In the dual form w holds the square roots sqrt(w_i), the
+    # diagonal of D, and the pass solves (D X X^T D + mu I) a = D (y - X v)
+    # and sets z = v + X^T D a; y - X v is the same for every pass.
     m = X.shape[0]
-    neg_inv_two_s2 = -1.0 / (2.0 * sigma * sigma)
-    inv_s2 = 1.0 / (sigma * sigma)
-    muv = mu * v
+    if woodbury:
+        neg_inv_s2, scale = -1.0 / (4.0 * sigma * sigma), 1.0 / sigma
+        r = y - X @ v
+    else:
+        neg_inv_s2, scale = -1.0 / (2.0 * sigma * sigma), 1.0 / (sigma * sigma)
+        muv = mu * v
     z = z0
     passes = 0
-    w = _hq_weights(y - X @ z if e0 is None else e0, neg_inv_two_s2, inv_s2)
+    w = _hq_weights(y - X @ z if e0 is None else e0, neg_inv_s2, scale)
     for passes in range(1, max_passes + 1):
-        b = Xt @ (w * y)
-        b += muv
         if woodbury:
-            sw = np.sqrt(w)
-            S = np.multiply.outer(sw, sw)
+            S = np.multiply.outer(w, w)
             S *= XXt
             S.ravel()[:: m + 1] += mu
             # S is symmetric, so S.T is S in Fortran order: factored in place
-            u = _posv(S.T, sw * (X @ b))
-            u *= sw
-            z_new = b - Xt @ u
-            z_new /= mu
+            a = _posv(S.T, w * r)
+            a *= w
+            z_new = Xt @ a
+            z_new += v
         else:
+            b = Xt @ (w * y)
+            b += muv
             M = Xt @ (X * w[:, None])
             M.ravel()[:: M.shape[0] + 1] += mu
             z_new = _posv(M, b)
         z, z_old = z_new, z
         if passes == max_passes or np.abs(z - z_old).max() <= tol * (1.0 + np.abs(z).max()):
             break
-        w = _hq_weights(y - X @ z, neg_inv_two_s2, inv_s2)
+        w = _hq_weights(y - X @ z, neg_inv_s2, scale)
     return z, passes
 
 

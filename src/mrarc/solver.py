@@ -41,7 +41,12 @@ squared-loss joint-rows solves from about 610 to about 170.
 
 Systems with more atoms than observations are solved through the m x m dual
 form of the ridge system (precomputed X X^T), which keeps the per-iteration
-cost at O(m^2 n) instead of O(n^2 m).
+cost at O(m^2 n) instead of O(n^2 m).  The modal dual-form pass scales the
+rows of X by the square roots of the HQ weights and takes z as v plus a
+combination of the scaled rows, so it never divides by mu and stays
+backward stable at any bandwidth.  An elimination that divides by mu loses
+accuracy as 1/sigma^2 and keeps adaptive solves whose bandwidth sinks to
+its floor of about 1e-4 from converging (see ``mrarc.kernels``).
 """
 
 import math

@@ -128,6 +128,21 @@ def hq_loop(X, y, v, mu, sigma, z0, tol, max_passes):
     return z, passes
 
 
+def ridge_backward_error(X, w, mu, rhs, z):
+    """Normwise relative backward error of z for (X^T W X + mu I) z = rhs.
+
+    The residual ||rhs - A z||_2 over ||A||_2 ||z||_2 + ||rhs||_2 (Rigal and
+    Gaches), with A = X^T diag(w) X + mu I formed and applied in extended
+    precision, so that the figure measures z and not its own rounding.
+    """
+    Xl = np.asarray(X, dtype=np.longdouble)
+    A = Xl.T @ (np.asarray(w, dtype=np.longdouble)[:, None] * Xl)
+    A[np.diag_indices(A.shape[0])] += mu
+    r = np.asarray(rhs, dtype=np.longdouble) - A @ np.asarray(z, dtype=np.longdouble)
+    scale = np.linalg.norm(A.astype(np.float64), 2) * np.linalg.norm(z) + np.linalg.norm(rhs)
+    return float(np.linalg.norm(r.astype(np.float64)) / scale)
+
+
 def lasso_objective(X, y, c, lam):
     r = y - X @ c
     return float(r @ r) + lam * float(np.sum(np.abs(c)))

@@ -5,7 +5,7 @@ import pytest
 
 from mrarc import kernels
 
-from _oracles import hq_loop
+from _oracles import hq_loop, ridge_backward_error
 
 KERNELS = kernels.active()
 SHAPES = [(12, 30), (30, 12)]  # wide (dual form) and tall (primal form)
@@ -80,6 +80,31 @@ def test_hq_inner_matches_the_reference_loop(m, n, sigma, mu):
         assert np.abs(z - want).max() <= tol * (1.0 + np.abs(z).max())
 
 
+@pytest.mark.parametrize("sigma", [0.5, 5e-2, 1e-2, 1e-3, 1e-4])
+def test_dual_form_hq_pass_is_backward_stable_at_every_bandwidth(sigma):
+    # a wide pass whose residual has inliers at the scale of sigma and six
+    # outliers whose weights underflow to exactly 0.  The weights reach
+    # 1/sigma^2, so a dual form that divides by mu after cancelling terms
+    # of that size fails here (about 2e-7 at sigma 1e-4); the backward
+    # error must stay at rounding level at every bandwidth
+    m, n, mu = 64, 160, 0.1
+    for seed in range(10):
+        rng, X, Xt, XXt, woodbury = _problem(m, n, seed=seed)
+        X /= np.sqrt(m)
+        Xt = np.ascontiguousarray(X.T)
+        XXt = X @ Xt
+        y = rng.standard_normal(m)
+        v = rng.standard_normal(n)
+        e = sigma * rng.standard_normal(m)
+        e[:6] = 0.5 + sigma * np.array([50.0, 50.0, 100.0, 100.0, 150.0, 75.0])
+        e[1:6:2] *= -1.0
+        w = np.exp(-(e * e) / (2.0 * sigma * sigma)) / (sigma * sigma)
+        assert not np.any(w[:6]) and np.all(w[6:] > 0.0)
+        z, passes = KERNELS.hq_inner(X, Xt, XXt, y, v, mu, sigma, v, 0.0, 1, woodbury, e)
+        assert passes == 1
+        assert ridge_backward_error(X, w, mu, X.T @ (w * y) + mu * v, z) <= 1e-14
+
+
 def _shrink_inputs(rng, n, gamma):
     # random entries plus exact zeros and entries with |z| = gamma
     z = rng.standard_normal(n)
@@ -139,6 +164,7 @@ def test_squared_zstep_solves_the_ridge_system(m, n):
     z = KERNELS.squared_zstep(L, X, Xt, b, mu, woodbury)
     want = np.linalg.solve(2.0 * (X.T @ X) + mu * np.eye(n), b)
     assert np.linalg.norm(z - want) <= 1e-10 * np.linalg.norm(want)
+    assert ridge_backward_error(X, np.full(m, 2.0), mu, b, z) <= 1e-14
 
 
 @pytest.mark.parametrize("m, n", SHAPES)
