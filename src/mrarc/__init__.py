@@ -73,7 +73,6 @@ from .modal import (
     GAUSSIAN,
     Kernel,
     ModalLoss,
-    adaptive_sigma,
     default_sigma_floor,
     estimate_mode,
     mrlf,
@@ -100,8 +99,7 @@ __all__ = [
     "AtomicSet", "Partition", "atomic_norm", "prox",
     # modal
     "GAUSSIAN", "EPANECHNIKOV", "Kernel", "ModalLoss",
-    "mrlf", "adaptive_sigma",
-    "default_sigma_floor", "parzen_density", "estimate_mode",
+    "mrlf", "default_sigma_floor", "parzen_density", "estimate_mode",
     # solver
     "SquaredLoss", "SolverConfig", "SolveHistory", "SolveResult",
     "solve_mrar", "solve_ar_squared", "solve_crc",

@@ -35,6 +35,13 @@ product and cancels terms of size 1/sigma^2: its backward error grows from
 about 1e-14 at sigma 0.5 to 2e-7 at sigma 1e-4, above a default
 ``epsilon`` of 1e-7.  Tall systems solve the n x n primal system.
 
+``squared_zstep`` is that step at the squared loss's constant weights
+w_i = 2 (D = sqrt(2) I), with the kept factor of X X^T + (mu/2) I: it
+solves (X X^T + (mu/2) I) a = y - X v and sets z = v + X^T a.  Its backward
+error stays near 3e-16 down to mu 1e-3, where an elimination that divides
+by mu reaches 9e-13.  Tall systems apply the factor of 2 X^T X + mu I to
+2 X^T y + mu v.
+
 ``hq_inner`` stops after ``max_passes`` passes, or earlier after the first
 pass that moves z by at most tol (1 + ||z||_inf).  The modal solvers call it
 with one pass per ADMM iteration: one reweighted ridge solve, weighted at
@@ -150,12 +157,16 @@ def _hq_inner(X, Xt, XXt, y, v, mu, sigma, z0, tol, max_passes, woodbury, e0=Non
     return z, passes
 
 
-def _squared_zstep(L, X, Xt, b, mu, woodbury):
-    # Solves (2 X^T X + mu I) z = b given the lower Cholesky factor L of either
-    # the n x n system itself or of its m x m dual form (mu/2) I + X X^T.
+def _squared_zstep(L, X, Xt, b, v, mu, woodbury):
+    # Solves (2 X^T X + mu I) z = 2 X^T y + mu v given the lower Cholesky
+    # factor L of the n x n system itself, with b = 2 X^T y, or of its m x m
+    # dual form X X^T + (mu/2) I, with b = y: then z = v + X^T a, where
+    # (X X^T + (mu/2) I) a = y - X v.
     if woodbury:
-        return (b - Xt @ _potrs(L, X @ b)) / mu
-    return _potrs(L, b)
+        z = Xt @ _potrs(L, b - X @ v)
+        z += v
+        return z
+    return _potrs(L, b + mu * v)
 
 
 _numpy = SimpleNamespace(
@@ -193,5 +204,5 @@ def warm_up():
     impl.hq_inner(X, Xt, np.zeros((0, 0)), y, v, 0.1, 1.0, np.zeros(3), 1e-6, 3, False)
     Ld = np.linalg.cholesky(2.0 * (Xt @ X) + 0.1 * np.eye(3))
     Lw = np.linalg.cholesky(0.05 * np.eye(2) + XXt)
-    impl.squared_zstep(Ld, X, Xt, v, 0.1, False)
-    impl.squared_zstep(Lw, X, Xt, v, 0.1, True)
+    impl.squared_zstep(Ld, X, Xt, 2.0 * (Xt @ y), v, 0.1, False)
+    impl.squared_zstep(Lw, X, Xt, y, v, 0.1, True)

@@ -93,16 +93,6 @@ def mrlf(e, sigma):
     return float(_mrlf_raw(e, sigma))
 
 
-def adaptive_sigma(e, min_sigma):
-    """Residual-driven bandwidth max(min_sigma, sqrt(||e||^2 / (2m)))."""
-    e = as_vector(e, "residual")
-    if e.size == 0:
-        raise EmptyInput("adaptive bandwidth needs at least one residual")
-    if not (min_sigma > 0.0):
-        raise ValueError(f"min_sigma must be positive, got {min_sigma}")
-    return float(max(min_sigma, math.sqrt(float(e @ e) / (2.0 * e.size))))
-
-
 def default_sigma_floor(y):
     """Scale-aware lower bound for the adaptive bandwidth: 1e-4 (1 + ||y||/sqrt(m))."""
     y = as_vector(y, "y")

@@ -16,17 +16,21 @@ the exact z-step.  Solving the z-step through, with an HQ loop inside
 every iteration, bought nothing at convergence; it cost several ridge
 solves per iteration and drove the adaptive bandwidth to its floor.
 ``solve_ar_squared`` is the same skeleton with the squared loss, whose
-z-update is a single prefactored linear solve.
+z-update is the ridge system at constant weights 2, (2 X^T X + mu I) z =
+2 X^T y + mu v, solved with a factor kept for the whole solve.
 One loop, ``_admm``, serves all four iterative solvers: it runs over an n x V
 coefficient matrix, one column per modality, and the unimodal solvers are
-the case V = 1.  Iteration stops when both ||c - z||_inf and the c step drop
-below epsilon.
+the case V = 1.  It sets up the z-step that ``cfg.loss`` asks for, and both
+z-steps move z toward the same point v = c + dual / mu.  Iteration stops
+when both ||c - z||_inf and the c step drop below epsilon.
 
 Each iteration computes only what the next iterate or the stop test needs:
 the history keeps the gap, the step and the bandwidth, which the loop has at
-hand, and no objective.  The residual y - X z behind an adaptive bandwidth
-is handed on to the half-quadratic pass, and whether the shrink's
-block layout is in identity order is settled once per solve.
+hand, and no objective; it grows with the iterations that run, so
+``max_iter`` caps the work without costing memory.  The residual y - X z
+behind an adaptive bandwidth is handed on to the half-quadratic pass, and
+whether the shrink's block layout is in identity order is settled once per
+solve.
 
 Every solve runs with restarted Nesterov momentum on z and the dual
 (Goldstein, O'Donoghue, Setzer and Baraniuk, "Fast Alternating Direction
@@ -41,12 +45,14 @@ squared-loss joint-rows solves from about 610 to about 170.
 
 Systems with more atoms than observations are solved through the m x m dual
 form of the ridge system (precomputed X X^T), which keeps the per-iteration
-cost at O(m^2 n) instead of O(n^2 m).  The modal dual-form pass scales the
-rows of X by the square roots of the HQ weights and takes z as v plus a
-combination of the scaled rows, so it never divides by mu and stays
-backward stable at any bandwidth.  An elimination that divides by mu loses
-accuracy as 1/sigma^2 and keeps adaptive solves whose bandwidth sinks to
-its floor of about 1e-4 from converging (see ``mrarc.kernels``).
+cost at O(m^2 n) instead of O(n^2 m).  Both losses take the dual step
+z = v + X^T D a: the modal pass with D the square roots of the HQ weights,
+the squared step with D = sqrt(2) I through its kept factor of
+X X^T + (mu/2) I.  Neither divides by mu, so both stay backward stable at
+any bandwidth and any mu.  An elimination that divides by mu loses
+accuracy as 1/sigma^2 (and as 1/mu): it kept adaptive solves whose
+bandwidth sinks to its floor of about 1e-4 from converging (see
+``mrarc.kernels``).
 """
 
 import math
@@ -125,17 +131,20 @@ def _check_problem(X, y):
     return X, y
 
 
-def _admm(pairs, aset, cfg, impl, zstep, sigma, floors=None):
+def _admm(pairs, aset, cfg):
     """The c = z ADMM loop shared by the four iterative solvers.
 
     The coefficients form an n x V matrix, one column per modality (X_j, y_j)
     of ``pairs``; the unimodal solvers are the case V = 1.  Each iteration
-    steps from a point (Z_hat, dual_hat): it refreshes the bandwidths
-    ``sigma`` (one per column) from the residuals e_j = y_j - X_j z_hat_j
-    when ``floors`` is given, takes the atomic prox of Z_hat - u, runs the
-    loss's ``zstep(j, c_j, u_j, dual_j, z_j, sigma_j, e_j)`` on every column
-    with u = dual_hat / mu, the dual and the warm start z_j taken at the
-    point (e_j is None without a refresh), and updates the unscaled dual.
+    steps from a point (Z_hat, dual_hat): for an adaptive modal loss it
+    refreshes the bandwidth of every column from the residual
+    e_j = y_j - X_j z_hat_j, takes the atomic prox C of Z_hat - dual_hat / mu,
+    forms V = C + dual_hat / mu, runs the z-step
+    ``zstep(j, v_j, z_hat_j, sigma_j, e_j)`` on every column and updates the
+    unscaled dual.  The loss enters through the z-step alone, and both
+    z-steps solve a ridge system whose penalty pulls z toward v_j: the modal
+    one is one HQ pass weighted at z_hat_j (e_j is None without a refresh),
+    the squared one applies a factor kept for the whole solve.
 
     The point carries restarted Nesterov momentum (Goldstein et al., SIAM
     J. Imaging Sci. 2014, Algorithm 8).  While the combined residual
@@ -154,12 +163,40 @@ def _admm(pairs, aset, cfg, impl, zstep, sigma, floors=None):
     would have the previous Z in place of Z_hat.  The modal z-step is one HQ
     pass weighted at Z_hat, so its dual is the gradient at Z of the
     quadratic surrogate at Z_hat; it differs from the loss gradient by a
-    term that also vanishes with ||Z - Z_hat||.
+    term that also vanishes with ||Z - Z_hat||.  A squared-loss result has
+    sigma None.
     """
+    impl = kernels.active()
     n, nmod = pairs[0][0].shape[1], len(pairs)
-    mu, lam, eps = cfg.mu, cfg.lam, cfg.epsilon
+    loss, mu, lam, eps = cfg.loss, cfg.mu, cfg.lam, cfg.epsilon
     max_iter = int(cfg.max_iter)
     gamma, eta = lam / mu, _RESTART_ETA
+    Xts = [np.ascontiguousarray(X.T) for X, _ in pairs]
+    wide = [X.shape[0] < n for X, _ in pairs]
+    modal = isinstance(loss, ModalLoss)
+    floors = None
+    if modal:
+        XXts = [X @ Xt if w else np.zeros((0, 0)) for (X, _), Xt, w in zip(pairs, Xts, wide)]
+        if loss.sigma is None:
+            if any(y.size == 0 for _, y in pairs):
+                raise EmptyInput("adaptive bandwidth needs at least one residual")
+            floors = [
+                loss.min_sigma if loss.min_sigma is not None else default_sigma_floor(y)
+                for _, y in pairs
+            ]
+
+        def zstep(j, v, z, s, e):
+            X, y = pairs[j]
+            # one HQ pass, weighted at the point stepped from (tol is unused)
+            return impl.hq_inner(X, Xts[j], XXts[j], y, v, mu, s, z, 0.0, 1, wide[j], e)[0]
+    else:
+        Ls = [_squared_prefactor(X, Xt, mu, w) for (X, _), Xt, w in zip(pairs, Xts, wide)]
+        # the target in the factor's space: y (m x m dual), 2 X^T y (n x n primal)
+        bs = [y if w else 2.0 * (Xt @ y) for (_, y), Xt, w in zip(pairs, Xts, wide)]
+
+        def zstep(j, v, z, s, e):
+            return impl.squared_zstep(Ls[j], pairs[j][0], Xts[j], bs[j], v, mu, wide[j])
+    sigma = [loss.sigma if modal else math.nan] * nmod
     if aset.kind == JOINT_ROWS:
         def shrink(w):
             return impl.row_shrink(w.reshape(n, nmod), gamma).ravel()
@@ -180,7 +217,7 @@ def _admm(pairs, aset, cfg, impl, zstep, sigma, floors=None):
     plain = True  # the point is the iterate before the one being computed
     C = np.zeros(n * nmod)
     resid = [None] * nmod
-    hist = np.empty((3, max_iter))
+    hist = []  # (gap, step, largest sigma) of every iteration
     converged = False
     iterations = max_iter
     for i in range(max_iter):
@@ -192,14 +229,15 @@ def _admm(pairs, aset, cfg, impl, zstep, sigma, floors=None):
         u = dual_hat / mu
         C_prev = C
         C = shrink(z_hat - u)
+        V = C + u
         S, S_prev = S_prev, S  # the new iterate overwrites the one before last
         z, dual = S[0], S[1]
         for j, cj in enumerate(cols):
-            z[cj] = zstep(j, C[cj], u[cj], dual_hat[cj], z_hat[cj], sigma[j], resid[j])
+            z[cj] = zstep(j, V[cj], z_hat[cj], sigma[j], resid[j])
         D = C - z
         gap = float(np.abs(D).max())
         step = float(np.abs(C - C_prev).max())
-        hist[:, i] = gap, step, max(sigma)
+        hist.append((gap, step, max(sigma)))
         np.multiply(D, mu, out=dual)
         dual += dual_hat
         if gap < eps and step < eps:
@@ -221,39 +259,15 @@ def _admm(pairs, aset, cfg, impl, zstep, sigma, floors=None):
                 np.copyto(S_hat, S)
             else:
                 S_hat, S_prev = S_prev, S_hat
-    history = SolveHistory(*(h[:iterations].copy() for h in hist))
-    return SolveResult(C.reshape(n, nmod), converged, iterations, history, np.array(sigma))
+    history = SolveHistory(*(np.array(h) for h in zip(*hist)))
+    sigma = np.array(sigma) if modal else None
+    return SolveResult(C.reshape(n, nmod), converged, iterations, history, sigma)
 
 
-def _one_column(out, sigma):
-    # the unimodal view of a V = 1 result
+def _one_column(out):
+    # the unimodal view of a V = 1 result, with a scalar bandwidth
+    sigma = None if out.sigma is None else float(out.sigma[0])
     return replace(out, coefficients=out.coefficients[:, 0], sigma=sigma)
-
-
-def _modal_admm(pairs, aset, cfg):
-    impl = kernels.active()
-    loss, mu = cfg.loss, cfg.mu
-    n = pairs[0][0].shape[1]
-    Xts = [np.ascontiguousarray(X.T) for X, _ in pairs]
-    wb = [X.shape[0] < n for X, _ in pairs]
-    XXts = [X @ Xt if w else np.zeros((0, 0)) for (X, _), Xt, w in zip(pairs, Xts, wb)]
-    floors = None
-    if loss.sigma is None:
-        if any(y.size == 0 for _, y in pairs):
-            raise EmptyInput("adaptive bandwidth needs at least one residual")
-        floors = [
-            loss.min_sigma if loss.min_sigma is not None else default_sigma_floor(y)
-            for _, y in pairs
-        ]
-
-    def zstep(j, c, u, d, z, s, e):
-        X, y = pairs[j]
-        # one HQ pass, weighted at the point stepped from (tol is unused)
-        z, _ = impl.hq_inner(X, Xts[j], XXts[j], y, c + u, mu, s, z, 0.0, 1, wb[j], e)
-        return z
-
-    sigma = [loss.sigma] * len(pairs)
-    return _admm(pairs, aset, cfg, impl, zstep, sigma, floors)
 
 
 def _squared_prefactor(X, Xt, mu, woodbury):
@@ -267,22 +281,6 @@ def _squared_prefactor(X, Xt, mu, woodbury):
         raise NotSPD("ridge system is not positive definite") from exc
 
 
-def _squared_admm(pairs, aset, cfg):
-    impl = kernels.active()
-    mu = cfg.mu
-    n = pairs[0][0].shape[1]
-    Xts = [np.ascontiguousarray(X.T) for X, _ in pairs]
-    wb = [X.shape[0] < n for X, _ in pairs]
-    Ls = [_squared_prefactor(X, Xt, mu, w) for (X, _), Xt, w in zip(pairs, Xts, wb)]
-    b_consts = [2.0 * (Xt @ y) for Xt, (_, y) in zip(Xts, pairs)]
-
-    def zstep(j, c, u, d, z, s, e):
-        X = pairs[j][0]
-        return impl.squared_zstep(Ls[j], X, Xts[j], b_consts[j] + mu * c + d, mu, wb[j])
-
-    return _admm(pairs, aset, cfg, impl, zstep, [np.nan] * len(pairs))
-
-
 def solve_mrar(X, y, aset, cfg):
     """Run the modal-regression ADMM; cfg.loss must be a ModalLoss."""
     X, y = _check_problem(X, y)
@@ -290,8 +288,7 @@ def solve_mrar(X, y, aset, cfg):
         raise TypeError("solve_mrar requires cfg.loss to be a ModalLoss")
     if aset.kind == JOINT_ROWS:
         raise ShapeMismatch("joint-rows problems go through solve_mrar_multimodal")
-    out = _modal_admm([(X, y)], aset, cfg)
-    return _one_column(out, float(out.sigma[0]))
+    return _one_column(_admm([(X, y)], aset, cfg))
 
 
 def solve_ar_squared(X, y, aset, cfg):
@@ -301,7 +298,7 @@ def solve_ar_squared(X, y, aset, cfg):
         raise TypeError("solve_ar_squared requires cfg.loss to be a SquaredLoss")
     if aset.kind == JOINT_ROWS:
         raise ShapeMismatch("joint-rows problems go through solve_ar_squared_multimodal")
-    return _one_column(_squared_admm([(X, y)], aset, cfg), None)
+    return _one_column(_admm([(X, y)], aset, cfg))
 
 
 def _ridge_factor(A, lam):
@@ -346,7 +343,7 @@ def solve_mrar_multimodal(Xs, ys, aset, cfg):
     if not isinstance(cfg.loss, ModalLoss):
         raise TypeError("solve_mrar_multimodal requires cfg.loss to be a ModalLoss")
     pairs, _ = _check_multimodal(Xs, ys, aset)
-    return _modal_admm(pairs, aset, cfg)
+    return _admm(pairs, aset, cfg)
 
 
 def solve_ar_squared_multimodal(Xs, ys, aset, cfg):
@@ -356,4 +353,4 @@ def solve_ar_squared_multimodal(Xs, ys, aset, cfg):
             "solve_ar_squared_multimodal requires cfg.loss to be a SquaredLoss"
         )
     pairs, _ = _check_multimodal(Xs, ys, aset)
-    return replace(_squared_admm(pairs, aset, cfg), sigma=None)
+    return _admm(pairs, aset, cfg)

@@ -152,19 +152,45 @@ def test_identity_order_block_shrink_matches_the_gather_scatter_path():
         assert got.tobytes() == want.tobytes()
 
 
+def _squared_step(X, Xt, y, v, mu, woodbury):
+    # the squared step with the factor and target the solver keeps: the
+    # m x m dual form with y, or the n x n system with 2 X^T y
+    m, n = X.shape
+    if woodbury:
+        L = np.linalg.cholesky(X @ Xt + 0.5 * mu * np.eye(m))
+        return KERNELS.squared_zstep(L, X, Xt, y, v, mu, woodbury)
+    L = np.linalg.cholesky(2.0 * (Xt @ X) + mu * np.eye(n))
+    return KERNELS.squared_zstep(L, X, Xt, 2.0 * (Xt @ y), v, mu, woodbury)
+
+
 @pytest.mark.parametrize("m, n", SHAPES)
 def test_squared_zstep_solves_the_ridge_system(m, n):
     rng, X, Xt, _, woodbury = _problem(m, n, seed=m * 100 + n + 1)
     mu = 0.1
-    if woodbury:
-        L = np.linalg.cholesky(X @ Xt + 0.5 * mu * np.eye(m))
-    else:
-        L = np.linalg.cholesky(2.0 * (Xt @ X) + mu * np.eye(n))
-    b = rng.standard_normal(n)
-    z = KERNELS.squared_zstep(L, X, Xt, b, mu, woodbury)
+    y = rng.standard_normal(m)
+    v = rng.standard_normal(n)
+    z = _squared_step(X, Xt, y, v, mu, woodbury)
+    b = 2.0 * (X.T @ y) + mu * v
     want = np.linalg.solve(2.0 * (X.T @ X) + mu * np.eye(n), b)
     assert np.linalg.norm(z - want) <= 1e-10 * np.linalg.norm(want)
     assert ridge_backward_error(X, np.full(m, 2.0), mu, b, z) <= 1e-14
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.1, 1e-3])
+def test_dual_form_squared_zstep_is_backward_stable_at_every_penalty(mu):
+    # wide unit-norm galleries, as the classifiers build them: a dual step
+    # that divides by mu after cancelling terms of size ||X||^2 / mu loses
+    # digits as 1/mu (about 7e-15 at mu 0.1 and 6e-13 at 1e-3)
+    m, n = 64, 160
+    for seed in range(10):
+        rng, X, _, _, woodbury = _problem(m, n, seed=seed + 50)
+        X /= np.linalg.norm(X, axis=0)
+        Xt = np.ascontiguousarray(X.T)
+        y = rng.standard_normal(m)
+        v = rng.standard_normal(n)
+        z = _squared_step(X, Xt, y, v, mu, woodbury)
+        b = 2.0 * (X.T @ y) + mu * v
+        assert ridge_backward_error(X, np.full(m, 2.0), mu, b, z) <= 1e-15
 
 
 @pytest.mark.parametrize("m, n", SHAPES)

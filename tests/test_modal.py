@@ -7,7 +7,6 @@ from mrarc.errors import EmptyInput, NonFiniteInput, UnsupportedKernel
 from mrarc.modal import (
     Kernel,
     ModalLoss,
-    adaptive_sigma,
     default_sigma_floor,
     estimate_mode,
     mrlf,
@@ -132,23 +131,8 @@ def test_hq_surrogate_tightness():
 
 
 # ---------------------------------------------------------------------------
-# adaptive bandwidth
+# adaptive bandwidth floor (the refresh itself is tested in test_solver.py)
 # ---------------------------------------------------------------------------
-
-
-def test_adaptive_sigma_formula():
-    assert adaptive_sigma(np.array([3.0, 4.0]), 1e-4) == pytest.approx(2.5)
-    c = 0.7
-    e = np.full(5, c)
-    assert adaptive_sigma(e, 1e-4) == pytest.approx(c / math.sqrt(2.0))
-
-
-def test_adaptive_sigma_floor_engages():
-    assert adaptive_sigma(np.zeros(4), 0.05) == 0.05
-    with pytest.raises(EmptyInput):
-        adaptive_sigma(np.array([]), 0.05)
-    with pytest.raises(ValueError):
-        adaptive_sigma(np.ones(3), 0.0)
 
 
 def test_default_sigma_floor_scales_with_target():

@@ -2,8 +2,11 @@
 
 Perfbench checks results with its own oracles and finds its per-layer spans
 by attribute name (``perfbench/tracing.py``), so a refactor of the library
-can break its checks or silently zero its metrics.  Both are run here in
-subprocesses, as perfbench runs itself, and neither writes a file.
+can break its checks or silently zero its metrics.  Outside a traced round
+its set-up calls ``kernels.warm_up()`` and its report
+``kernels.backend_name()``.  All three are run here in subprocesses, as
+perfbench runs itself; only the set-up writes files, one gallery into
+pytest's temporary directory.
 """
 
 import json
@@ -43,6 +46,29 @@ calls = {name: tot[0] for name, tot in tracer.totals.items()}
 print(json.dumps({"calls": calls, "hq_passes": tracer.hq_passes}))
 """
 
+# perfbench's set-up (load the gallery files, build the dictionaries, warm
+# the kernels up) on one workload's gallery, written to the directory given
+# as the first argument, and the backend name its report prints
+_SET_UP = """
+import os, sys
+sys.path.insert(0, "perfbench")
+from run import prepare
+error = prepare()
+assert error is None, error
+from harness import _set_up
+from hostclock import HostClock
+from mrarc import kernels
+from workloads import WORKLOADS, Generator, write_csv
+
+gen = Generator(WORKLOADS["multiview-tall"], 0)
+paths = [os.path.join(sys.argv[1], f"gallery{v}.csv") for v in range(len(gen.gallery))]
+for S, path in zip(gen.gallery, paths):
+    write_csv(S, gen.labels, path)
+mats, dicts, times = _set_up(paths, HostClock())
+assert len(mats) == len(dicts) == len(paths) and len(times) == 4
+print(kernels.backend_name())
+"""
+
 _SPANS = (
     "kernels.hq_inner",
     "kernels.block_shrink",
@@ -76,3 +102,9 @@ def test_perfbench_tracer_sees_every_layer():
     missing = [name for name in _SPANS if calls.get(name, 0) == 0]
     assert not missing, f"no traced calls for {missing}; spans seen: {sorted(calls)}"
     assert report["hq_passes"] > 0
+
+
+def test_perfbench_set_up_and_report_run(tmp_path):
+    proc = _run(["-c", _SET_UP, str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "numpy"

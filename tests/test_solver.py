@@ -8,8 +8,8 @@ from mrarc import kernels
 from mrarc.atomic import AtomicSet, Partition
 from mrarc.classify import ClassifierSpec, Dictionary, classify
 from mrarc.data import SyntheticSpec, gen_subspace_data
-from mrarc.errors import DimensionMismatch, NotSPD, ShapeMismatch
-from mrarc.modal import Kernel, ModalLoss, mrlf
+from mrarc.errors import DimensionMismatch, EmptyInput, NotSPD, ShapeMismatch
+from mrarc.modal import Kernel, ModalLoss, default_sigma_floor, mrlf
 from mrarc.solver import (
     SolverConfig,
     SquaredLoss,
@@ -290,6 +290,39 @@ def test_fixed_sigma_policy_is_respected():
     out = solve_mrar(X, y, AtomicSet.sparse(), cfg)
     assert out.sigma == 0.7
     assert np.all(out.history.sigma == 0.7)
+
+
+def test_adaptive_bandwidth_starts_from_y_and_holds_its_floor():
+    # the first iterate steps from z = 0, so its residual is y itself
+    rng = np.random.default_rng(18)
+    m, n = 12, 20
+    X = _unit_columns(rng, m, n)
+    y = rng.standard_normal(m)
+    first = max(default_sigma_floor(y), np.linalg.norm(y) / np.sqrt(2.0 * m))
+    out = solve_mrar(X, y, AtomicSet.sparse(), _modal_cfg(lam=1e-2, max_iter=200))
+    assert out.history.sigma[0] == pytest.approx(first, rel=1e-14, abs=0.0)
+    assert np.all(out.history.sigma[1:] < first)  # the residual shrinks
+    floor = 2.0 * first
+    cfg = _modal_cfg(lam=1e-2, max_iter=200, loss=ModalLoss.adaptive(floor))
+    held = solve_mrar(X, y, AtomicSet.sparse(), cfg)
+    assert np.all(held.history.sigma == floor)
+    assert held.sigma == floor
+    with pytest.raises(EmptyInput):
+        solve_mrar(np.zeros((0, n)), np.zeros(0), AtomicSet.sparse(), _modal_cfg())
+
+
+@pytest.mark.parametrize("loss", [ModalLoss.adaptive(), SquaredLoss()], ids=["modal", "squared"])
+def test_history_is_sized_by_the_iterations_that_run(loss):
+    # an iteration limit far beyond memory costs nothing until it is reached
+    rng = np.random.default_rng(19)
+    X = _unit_columns(rng, 8, 5)
+    y = rng.standard_normal(8)
+    cfg = SolverConfig(lam=1e-2, epsilon=1e-6, max_iter=10**12, loss=loss)
+    solve = solve_mrar if isinstance(loss, ModalLoss) else solve_ar_squared
+    out = solve(X, y, AtomicSet.sparse(), cfg)
+    assert out.converged
+    h = out.history
+    assert h.gap.size == h.step.size == h.sigma.size == out.iterations
 
 
 def _planted_problems(m, n, K, seed):
