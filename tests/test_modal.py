@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mrarc.atomic import AtomicSet
 from mrarc.errors import EmptyInput, NonFiniteInput, UnsupportedKernel
 from mrarc.modal import (
     Kernel,
@@ -12,6 +13,7 @@ from mrarc.modal import (
     mrlf,
     parzen_density,
 )
+from mrarc.solver import SolverConfig, solve_mrar
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +133,33 @@ def test_hq_surrogate_tightness():
 
 
 # ---------------------------------------------------------------------------
-# adaptive bandwidth floor (the refresh itself is tested in test_solver.py)
+# adaptive bandwidth: sigma = max(floor, ||e|| / sqrt(2 m)), refreshed by the
+# solver from the residual (a full solve is tested in test_solver.py)
 # ---------------------------------------------------------------------------
+
+
+def _adaptive_sigma(y, min_sigma):
+    # the first iterate steps from z = 0, so the bandwidth it records is the
+    # rule applied to the residual e = y
+    y = np.asarray(y, dtype=float)
+    cfg = SolverConfig(lam=1e-2, max_iter=1, loss=ModalLoss.adaptive(min_sigma))
+    out = solve_mrar(np.eye(y.size, 2), y, AtomicSet.sparse(), cfg)
+    return float(out.history.sigma[0])
+
+
+def test_adaptive_sigma_formula():
+    assert _adaptive_sigma(np.array([3.0, 4.0]), 1e-4) == pytest.approx(2.5)
+    c = 0.7
+    e = np.full(5, c)
+    assert _adaptive_sigma(e, 1e-4) == pytest.approx(c / math.sqrt(2.0))
+
+
+def test_adaptive_sigma_floor_engages():
+    assert _adaptive_sigma(np.zeros(4), 0.05) == 0.05
+    with pytest.raises(EmptyInput):
+        _adaptive_sigma(np.array([]), 0.05)
+    with pytest.raises(ValueError):
+        _adaptive_sigma(np.ones(3), 0.0)
 
 
 def test_default_sigma_floor_scales_with_target():
